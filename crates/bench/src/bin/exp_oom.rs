@@ -1,26 +1,22 @@
-//! exp_oom: out-of-core partial cracking under a RAM budget a fraction
-//! of the working set (the PR 8 spill tier).
+//! exp_oom: partial cracking under a chunk budget a small fraction of
+//! the working set (§4's storage manager).
 //!
-//! Three partial engines run the same seeded query/update stream over a
+//! Two partial engines run the same seeded query/update stream over a
 //! wide table (1 head + 8 tail attributes, so base + full maps are far
 //! larger than the budget):
 //!
-//! * **spill** — tiny budget, evicted chunks serialize to disk and
-//!   reload on re-access (`PartialEngine::with_spill`, honoring
-//!   `CRACKDB_SPILL_DIR`);
-//! * **drop**  — same tiny budget, no spill tier: evicted chunks are
-//!   discarded and re-accessed areas recrack from the base (the PR 7
-//!   baseline spilling is meant to beat);
-//! * **ram**   — unbudgeted in-RAM reference; its answers are the
-//!   ground truth and its peak `usage()` measures the working set the
-//!   budgeted runs were denied.
+//! * **drop** — tiny budget: evicted chunks are discarded and
+//!   re-accessed areas are regathered from the base and recracked;
+//! * **ram**  — unbudgeted in-RAM reference; its answers are the ground
+//!   truth and its peak `usage()` measures the working set the budgeted
+//!   run was denied.
 //!
 //! The binary asserts the acceptance criteria — working set >= 10x
-//! budget, bit-identical answers, `usage() <= budget` after every
-//! query, reloads measurably cheaper than recracks, bounded peak RSS
-//! (VmHWM) — and emits `BENCH_oom.json`.
+//! budget, bit-identical answers, `usage() <= budget` after every query
+//! (and so a peak usage within the budget), bounded peak RSS (VmHWM) —
+//! and emits `BENCH_oom.json` with the commit and host core count.
 
-use crackdb_bench::harness::{write_bench_json, JsonList, JsonObj};
+use crackdb_bench::harness::{git_commit, write_bench_json, JsonList, JsonObj};
 use crackdb_columnstore::types::{AggFunc, RangePred, RowId, Val};
 use crackdb_core::PartialStats;
 use crackdb_engine::{Engine, PartialEngine, SelectQuery};
@@ -62,7 +58,7 @@ enum Op {
 /// Seeded stream: range restrictions on the head attribute (17-50%
 /// selectivity) with aggregates + a raw projection over random tails,
 /// and a §3.5 insert+delete pair every 8th step so updates stage while
-/// chunks sit on disk.
+/// chunks are evicted and recreated.
 fn make_ops(rows: usize, queries: usize, domain: Val, seed: u64) -> Vec<Op> {
     let mut rng = Lcg(seed);
     let mut ops = Vec::new();
@@ -133,8 +129,7 @@ struct RunResult {
 }
 
 /// Drive the op stream, asserting `usage() <= budget` after every
-/// query when a budget is set (the tentpole invariant, checked exactly:
-/// spilled tuples are disk-resident and must not count).
+/// query when a budget is set.
 fn run(e: &mut PartialEngine, ops: &[Op], budget: Option<usize>) -> RunResult {
     let hwm0 = vm_hwm_kb();
     let mut fps = Vec::new();
@@ -143,7 +138,7 @@ fn run(e: &mut PartialEngine, ops: &[Op], budget: Option<usize>) -> RunResult {
     for op in ops {
         match op {
             Op::Query(q) => {
-                let out = e.try_select(q).expect("healthy spill tier never errors");
+                let out = e.select(q);
                 fps.push(fingerprint(&out));
                 let usage = e.store().usage();
                 peak = peak.max(usage);
@@ -175,12 +170,7 @@ fn run_json(name: &str, r: &RunResult, budget: Option<usize>) -> JsonObj {
         .u64("hwm_delta_kb", r.hwm_delta_kb)
         .u64("chunks_created", r.stats.chunks_created)
         .u64("chunks_dropped", r.stats.chunks_dropped)
-        .u64("chunks_spilled", r.stats.chunks_spilled)
-        .u64("chunks_reloaded", r.stats.chunks_reloaded)
-        .u64("tuples_reloaded", r.stats.tuples_reloaded)
         .u64("tuples_fetched", r.stats.tuples_fetched)
-        .f64("spill_write_ms", r.stats.spill_write_ns as f64 / 1e6)
-        .f64("spill_read_ms", r.stats.spill_read_ns as f64 / 1e6)
         .f64("fetch_ms", r.stats.fetch_ns as f64 / 1e6)
 }
 
@@ -208,21 +198,16 @@ fn main() {
     let domain = n as Val;
     let base_values = n * (TAILS + 1);
     println!(
-        "# exp_oom: out-of-core partial cracking (N={n}, {TAILS} tails, \
+        "# exp_oom: partial cracking under a chunk budget (N={n}, {TAILS} tails, \
          {queries} queries, budget {budget} tuples, base {base_values} values)"
     );
 
     let table = random_table(TAILS + 1, n, domain, seed);
     let ops = make_ops(n, queries, domain, seed + 1);
 
-    // Budgeted runs go first: VmHWM is monotonic per process, so the
-    // spill run's high-water mark must be recorded before the
-    // unbudgeted reference materializes its O(working set) maps.
-    let mut spill_engine = PartialEngine::with_spill(table.clone(), (0, domain + 1), Some(budget));
-    assert!(spill_engine.store().spill_enabled());
-    let spill = run(&mut spill_engine, &ops, Some(budget));
-    drop(spill_engine);
-
+    // The budgeted run goes first: VmHWM is monotonic per process, so
+    // its high-water mark must be recorded before the unbudgeted
+    // reference materializes its O(working set) maps.
     let mut drop_engine = PartialEngine::new(table.clone(), (0, domain + 1), Some(budget));
     let dropped = run(&mut drop_engine, &ops, Some(budget));
     drop(drop_engine);
@@ -233,12 +218,13 @@ fn main() {
 
     // --- Acceptance checks -------------------------------------------
     assert_eq!(
-        spill.fingerprints, ram.fingerprints,
-        "spill-tier answers must be bit-identical to the in-RAM run"
-    );
-    assert_eq!(
         dropped.fingerprints, ram.fingerprints,
-        "drop-tier answers must be bit-identical to the in-RAM run"
+        "budgeted answers must be bit-identical to the in-RAM run"
+    );
+    assert!(
+        dropped.peak_usage <= budget,
+        "peak usage {} exceeds the budget {budget}",
+        dropped.peak_usage
     );
     let working_set = base_values + ram.peak_usage;
     let over_budget_x = working_set as f64 / budget as f64;
@@ -249,71 +235,49 @@ fn main() {
         ram.peak_usage
     );
     assert!(
-        spill.stats.chunks_spilled > 0 && spill.stats.chunks_reloaded > 0,
-        "the budget must force actual spill round-trips"
+        dropped.stats.chunks_dropped > 0,
+        "the budget must force actual evictions"
     );
 
-    // Reload vs recrack, per tuple: a reload is one sequential read +
-    // word-wise decode; the drop tier pays a random gather from the base
-    // column for every tuple of the recreated chunk (and then loses the
-    // chunk's cracks on top). Per-tuple normalization keeps the
-    // comparison fair when the two runs see different chunk sizes.
-    //
-    // The assertion gates on paper-scale tables: below ~10^6 rows the
-    // base columns are cache-resident and a "random" gather is nearly
-    // free, which is exactly the regime the spill tier is not for.
-    let reload_ns_tuple = spill.stats.spill_read_ns as f64 / spill.stats.tuples_reloaded as f64;
-    let recrack_ns_tuple = dropped.stats.fetch_ns as f64 / dropped.stats.tuples_fetched as f64;
-    let reload_speedup = recrack_ns_tuple / reload_ns_tuple;
-    if n >= 1_000_000 && spill.stats.chunks_reloaded >= 20 {
-        assert!(
-            reload_ns_tuple < recrack_ns_tuple,
-            "reloading a spilled tuple ({reload_ns_tuple:.2} ns avg) must be \
-             cheaper than regathering it from the base ({recrack_ns_tuple:.2} ns avg)"
-        );
-    }
-
-    // Bounded RSS: the spill run's HWM growth must stay far below the
+    // Bounded RSS: the budgeted run's HWM growth must stay far below the
     // working set the in-RAM run materializes (16 B per resident map
-    // tuple: head + tail value). Allocator reuse makes later runs'
-    // deltas conservative, which only strengthens this check.
+    // tuple: head + tail value).
     let ram_maps_kb = (ram.peak_usage * 16) as u64 / 1024;
     let rss_measured = vm_hwm_kb() > 0;
     if rss_measured && n >= 100_000 {
         assert!(
-            spill.hwm_delta_kb < ram_maps_kb,
-            "spill-run RSS growth {} kB must stay below the in-RAM map \
+            dropped.hwm_delta_kb < ram_maps_kb,
+            "budgeted-run RSS growth {} kB must stay below the in-RAM map \
              working set {} kB",
-            spill.hwm_delta_kb,
+            dropped.hwm_delta_kb,
             ram_maps_kb
         );
     }
 
+    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!("# all acceptance checks passed");
     println!(
         "# working set {working_set} values = {over_budget_x:.1}x budget; \
-         spill peak usage {} <= {budget}",
-        spill.peak_usage
+         drop peak usage {} <= {budget}",
+        dropped.peak_usage
     );
     println!(
-        "# reload {reload_ns_tuple:.2} ns/tuple vs recrack {recrack_ns_tuple:.2} \
-         ns/tuple ({reload_speedup:.1}x); spill {:.0} ms vs drop {:.0} ms vs \
-         ram {:.0} ms total",
-        spill.total_ns as f64 / 1e6,
+        "# drop {:.0} ms vs ram {:.0} ms total ({nproc} host threads)",
         dropped.total_ns as f64 / 1e6,
         ram.total_ns as f64 / 1e6,
     );
     println!(
-        "# RSS deltas (VmHWM): spill {} kB, drop {} kB, ram {} kB (ram maps ~{} kB)",
-        spill.hwm_delta_kb, dropped.hwm_delta_kb, ram.hwm_delta_kb, ram_maps_kb
+        "# RSS deltas (VmHWM): drop {} kB, ram {} kB (ram maps ~{} kB)",
+        dropped.hwm_delta_kb, ram.hwm_delta_kb, ram_maps_kb
     );
 
     let mut runs = JsonList::new();
-    runs.push(run_json("spill", &spill, Some(budget)));
     runs.push(run_json("drop", &dropped, Some(budget)));
     runs.push(run_json("ram", &ram, None));
     let root = JsonObj::new()
         .str("bench", "oom")
+        .str("commit", &git_commit())
+        .u64("host_threads", nproc as u64)
         .u64("rows", n as u64)
         .u64("tail_attrs", TAILS as u64)
         .u64("queries", queries as u64)
@@ -324,15 +288,6 @@ fn main() {
         .f64("working_set_over_budget_x", over_budget_x)
         .str("answers_identical", "true")
         .str("rss_measured", if rss_measured { "true" } else { "false" })
-        .obj(
-            "reload_vs_recrack",
-            JsonObj::new()
-                .f64("reload_ns_per_tuple", reload_ns_tuple)
-                .f64("recrack_ns_per_tuple", recrack_ns_tuple)
-                .u64("tuples_reloaded", spill.stats.tuples_reloaded)
-                .u64("tuples_regathered", dropped.stats.tuples_fetched)
-                .f64("reload_speedup_x", reload_speedup),
-        )
         .list("runs", runs);
     match write_bench_json("oom", root) {
         Ok(path) => println!("# wrote {path}"),

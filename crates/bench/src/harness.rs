@@ -136,6 +136,19 @@ pub fn write_bench_json(name: &str, root: JsonObj) -> std::io::Result<String> {
     Ok(path)
 }
 
+/// The commit a bench artifact was recorded at, as `git describe
+/// --always --dirty` prints it (a `-dirty` suffix marks uncommitted
+/// changes); `unknown` outside a git work tree.
+pub fn git_commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+}
+
 /// Latency percentiles over a sample set (nanoseconds), nearest-rank
 /// method. The query service records one sample per completed call
 /// (`Service::take_latencies`); `service_bench` folds them through this

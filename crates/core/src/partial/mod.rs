@@ -32,31 +32,18 @@
 //! area's last chunk is dropped the area reverts to unfetched, its tape
 //! is discarded and its merged updates return to the staged lists — a
 //! chunk recreated from the base later picks them up for free.
-//!
-//! **Storage tiers:** eviction is tiered when a [`SpillTier`] is
-//! attached — RAM budget → spill file → (on spill failure) drop. A
-//! spilled chunk serializes with its tape cursor (the staged-update
-//! watermark) and *reloads* on re-access instead of being recracked; an
-//! area with spilled chunks stays fetched, so merged updates are never
-//! lost while a sibling is cold. Disk failures surface as
-//! [`StorageError`]s through every public query entry point — never as
-//! panics.
 
 pub mod chunk;
-pub mod spill;
 
 pub use chunk::Chunk;
-pub use spill::SpillTier;
 
 use crate::bitvec::BitVec;
 use crackdb_columnstore::column::Table;
-use crackdb_columnstore::storage::StorageError;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_cracking::index::pred_keys;
 use crackdb_cracking::{
     retention_score, BoundaryKey, CrackPolicy, CrackedArray, CrackerIndex, PolicyAdvisor,
 };
-use spill::SpillSlot;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
@@ -129,10 +116,6 @@ struct AreaInfo {
     /// Delete-position resolver, created at the area's first update
     /// merge.
     resolver: Option<Resolver>,
-    /// Chunks of this area currently on disk, by tail attribute. A
-    /// spilled chunk keeps the area fetched (its record carries a cursor
-    /// into the tape), so the tape must survive until it reloads.
-    spilled: HashMap<usize, SpillSlot>,
 }
 
 /// A partial map: the workload-selected subset of `M_AB`, one chunk per
@@ -164,18 +147,8 @@ pub struct PartialStats {
     pub heads_recovered: u64,
     /// Staged updates merged into area tapes (§3.5).
     pub updates_merged: u64,
-    /// Chunks evicted to the spill tier (instead of dropped).
-    pub chunks_spilled: u64,
-    /// Spilled chunks reloaded from disk on re-access.
-    pub chunks_reloaded: u64,
-    /// Tuples carried by reloaded chunks (per-tuple reload-cost metric).
-    pub tuples_reloaded: u64,
-    /// Nanoseconds spent serializing + writing spill records.
-    pub spill_write_ns: u64,
-    /// Nanoseconds spent reading + deserializing spill records.
-    pub spill_read_ns: u64,
     /// Nanoseconds spent materializing chunks from the base columns
-    /// (the recrack-from-scratch cost spilling avoids).
+    /// (the cost every eviction makes the next access pay again).
     pub fetch_ns: u64,
 }
 
@@ -191,11 +164,6 @@ impl PartialStats {
         self.heads_dropped += other.heads_dropped;
         self.heads_recovered += other.heads_recovered;
         self.updates_merged += other.updates_merged;
-        self.chunks_spilled += other.chunks_spilled;
-        self.chunks_reloaded += other.chunks_reloaded;
-        self.tuples_reloaded += other.tuples_reloaded;
-        self.spill_write_ns += other.spill_write_ns;
-        self.spill_read_ns += other.spill_read_ns;
         self.fetch_ns += other.fetch_ns;
     }
 }
@@ -237,16 +205,9 @@ pub struct PartialSet {
     advisor: PolicyAdvisor,
     /// Counters.
     pub stats: PartialStats,
-    /// Optional disk tier: evicted chunks spill here and reload on
-    /// re-access instead of being recracked.
-    spill: Option<SpillTier>,
     /// Recycled buffer for per-query area-tape snapshots (avoids a fresh
     /// allocation per processed area).
     tape_scratch: Vec<AreaEntry>,
-    /// Recycled buffer for spill records: encode and read reuse it so
-    /// multi-MB evictions/reloads don't pay a fresh allocation (and its
-    /// page faults) per chunk.
-    spill_scratch: Vec<u8>,
 }
 
 impl PartialSet {
@@ -274,21 +235,8 @@ impl PartialSet {
             // sweep response applies here like on a plain cracker.
             advisor: PolicyAdvisor::new(policy),
             stats: PartialStats::default(),
-            spill: None,
             tape_scratch: Vec::new(),
-            spill_scratch: Vec::new(),
         }
-    }
-
-    /// Attach (or detach) the disk spill tier. With a tier attached,
-    /// eviction spills instead of dropping.
-    pub fn set_spill(&mut self, tier: Option<SpillTier>) {
-        self.spill = tier;
-    }
-
-    /// `true` when a spill tier is attached.
-    pub fn spill_enabled(&self) -> bool {
-        self.spill.is_some()
     }
 
     /// The set's configured pivot-choice policy (possibly
@@ -334,16 +282,6 @@ impl PartialSet {
             .sum()
     }
 
-    /// Tuples currently held by the spill tier (on disk, *not* counted
-    /// by [`Self::usage`] — the budget governs resident storage only).
-    pub fn spilled_tuples(&self) -> usize {
-        self.areas
-            .values()
-            .flat_map(|a| a.spilled.values())
-            .map(|s| s.tuples as usize)
-            .sum()
-    }
-
     // ----- updates (§3.5) ---------------------------------------------
 
     /// Stage an insertion: the tuple with key `key` was appended to the
@@ -373,32 +311,26 @@ impl PartialSet {
         self.maps.get(&tail_attr)
     }
 
-    fn ensure_chunk_map(&mut self, base: &Table) -> Result<(), StorageError> {
+    fn ensure_chunk_map(&mut self, base: &Table) {
         if self.chunk_map.is_none() {
             // The seed is the *current* live snapshot: inserted rows are
             // already part of the base; rows with a staged deletion are
             // excluded. Everything staged so far is therefore subsumed by
-            // the seed and cleared. The scan is segment-wise so a
-            // file-backed base column streams through without evicting
-            // its random-access cache.
+            // the seed and cleared.
             let col = base.column(self.head_attr);
             let dead: HashSet<RowId> = self.staged_deletes.iter().map(|&(_, k)| k).collect();
             let mut head = Vec::with_capacity(col.len());
             let mut keys = Vec::with_capacity(col.len());
-            col.try_for_each_segment(|start, vals| {
-                for (i, &v) in vals.iter().enumerate() {
-                    let key = (start + i) as RowId;
-                    if !dead.contains(&key) {
-                        head.push(v);
-                        keys.push(key);
-                    }
+            for (key, v) in col.iter_pairs() {
+                if !dead.contains(&key) {
+                    head.push(v);
+                    keys.push(key);
                 }
-            })?;
+            }
             self.chunk_map = Some(CrackedArray::new(head, keys));
             self.staged_inserts.clear();
             self.staged_deletes.clear();
         }
-        Ok(())
     }
 
     fn area_info(&mut self, id: AreaId) -> &mut AreaInfo {
@@ -609,12 +541,7 @@ impl PartialSet {
 
     /// Fetch (materialize) the chunk of `tail_attr` for an area, reviving
     /// a lazily deleted index shell when available.
-    fn fetch_chunk(
-        &mut self,
-        base: &Table,
-        tail_attr: usize,
-        area: &AreaRef,
-    ) -> Result<Chunk, StorageError> {
+    fn fetch_chunk(&mut self, base: &Table, tail_attr: usize, area: &AreaRef) -> Chunk {
         let t0 = Instant::now();
         // INVARIANT: ensure_chunk_map runs at every public entry point
         // before the internal helpers; field access keeps the borrow
@@ -623,8 +550,7 @@ impl PartialSet {
         let (heads, keys) = cm.view((area.start, area.end));
         let tail_col = base.column(tail_attr);
         let head: Vec<Val> = heads.to_vec();
-        let mut tail: Vec<Val> = Vec::with_capacity(keys.len());
-        tail_col.try_gather(keys.iter().copied(), |v| tail.push(v))?;
+        let tail: Vec<Val> = keys.iter().map(|&k| tail_col.get(k)).collect();
         let info = self.areas.entry(area.id).or_default();
         info.fetched = true;
         info.refs.insert(tail_attr);
@@ -634,7 +560,7 @@ impl PartialSet {
         self.stats.fetch_ns += t0.elapsed().as_nanos() as u64;
         let mut chunk = Chunk::seed(head, tail, shell);
         chunk.last_access = self.clock;
-        Ok(chunk)
+        chunk
     }
 
     /// Evict cold chunks until `extra` more tuples fit in the budget.
@@ -648,14 +574,8 @@ impl PartialSet {
     /// thrash; the recency-dominated score keeps the adaptation property
     /// §4.1 asks of the storage manager ("the system always keeps the
     /// chunks that are really necessary for the workload hot-set").
-    fn make_room(
-        &mut self,
-        extra: usize,
-        pinned: &HashSet<(usize, AreaId)>,
-    ) -> Result<(), StorageError> {
-        let Some(budget) = self.budget else {
-            return Ok(());
-        };
+    fn make_room(&mut self, extra: usize, pinned: &HashSet<(usize, AreaId)>) {
+        let Some(budget) = self.budget else { return };
         // One scan establishes the current usage; each eviction then
         // subtracts the freed tuples, so the loop stays O(chunks) per
         // eviction (the victim scan) instead of rescanning every chunk
@@ -669,94 +589,23 @@ impl PartialSet {
                 .maps
                 .iter()
                 .flat_map(|(&attr, m)| {
-                    m.chunks
-                        .iter()
-                        .map(move |(&aid, c)| {
-                            ((attr, aid), retention_score(c.accesses, c.last_access))
-                        })
+                    m.chunks.iter().map(move |(&aid, c)| {
+                        ((attr, aid), retention_score(c.accesses, c.last_access))
+                    })
                 })
                 .filter(|(key, _)| !pinned.contains(key))
                 .min_by_key(|&((attr, aid), score)| (score, attr, aid))
                 .map(|(key, _)| key);
             let Some((attr, aid)) = victim else { break };
-            usage = usage.saturating_sub(self.evict_chunk(attr, aid)?);
+            usage = usage.saturating_sub(self.drop_chunk(attr, aid));
         }
-        Ok(())
-    }
-
-    /// Tiered eviction of one chunk: spill when a tier is attached,
-    /// otherwise drop. A failed spill write falls back to dropping the
-    /// chunk (so the budget invariant still holds) and then surfaces the
-    /// error — loud, but never wedged.
-    fn evict_chunk(&mut self, tail_attr: usize, area_id: AreaId) -> Result<usize, StorageError> {
-        let Some(tier) = self.spill.clone() else {
-            return Ok(self.drop_chunk(tail_attr, area_id));
-        };
-        let Some(map) = self.maps.get_mut(&tail_attr) else {
-            return Ok(0);
-        };
-        let Some(chunk) = map.chunks.remove(&area_id) else {
-            return Ok(0);
-        };
-        let freed = chunk.len();
-        let t0 = Instant::now();
-        let mut record = std::mem::take(&mut self.spill_scratch);
-        spill::encode_chunk_into(&chunk, &mut record);
-        let written = tier.write(tail_attr, &record, chunk.len() as u32);
-        self.spill_scratch = record;
-        self.stats.spill_write_ns += t0.elapsed().as_nanos() as u64;
-        match written {
-            Ok(slot) => {
-                let info = self.areas.entry(area_id).or_default();
-                info.refs.remove(&tail_attr);
-                info.spilled.insert(tail_attr, slot);
-                self.stats.chunks_spilled += 1;
-                Ok(freed)
-            }
-            Err(e) => {
-                // Put the chunk back and drop it through the ordinary
-                // path so shells/un-merge bookkeeping stays consistent.
-                map.chunks.insert(area_id, chunk);
-                self.drop_chunk(tail_attr, area_id);
-                Err(e)
-            }
-        }
-    }
-
-    /// Reload a spilled chunk of `tail_attr` for `area_id`. The slot has
-    /// already been taken out of the area's spill table; on any failure
-    /// the chunk is simply gone — the area keeps its tape, and the next
-    /// access recreates the chunk from the base (replaying the tape), so
-    /// one loud error leaves the set fully serviceable.
-    fn reload_chunk(
-        &mut self,
-        tier: &SpillTier,
-        tail_attr: usize,
-        slot: SpillSlot,
-    ) -> Result<Chunk, StorageError> {
-        let t0 = Instant::now();
-        let mut bytes = std::mem::take(&mut self.spill_scratch);
-        let decoded = tier.read_into(tail_attr, slot, &mut bytes).and_then(|()| {
-            spill::decode_chunk(
-                &bytes,
-                &format!("decode spilled chunk of column {tail_attr}"),
-            )
-        });
-        self.spill_scratch = bytes;
-        let chunk = decoded?;
-        self.stats.spill_read_ns += t0.elapsed().as_nanos() as u64;
-        self.stats.chunks_reloaded += 1;
-        self.stats.tuples_reloaded += chunk.len() as u64;
-        Ok(chunk)
     }
 
     /// Drop one chunk, keeping its index as a lazily deleted shell; if it
-    /// was the area's last chunk — resident *or* spilled — the area
-    /// reverts to unfetched and its tape is removed (§4.1) — merged
-    /// updates return to the staged lists, so chunks recreated from the
-    /// base later pick them up for free. While any sibling chunk sits in
-    /// the spill tier the tape must survive: the spilled record's cursor
-    /// points into it. Returns the tuples freed.
+    /// was the area's last chunk, the area reverts to unfetched and its
+    /// tape is removed (§4.1) — merged updates return to the staged
+    /// lists, so chunks recreated from the base later pick them up for
+    /// free. Returns the tuples freed.
     pub fn drop_chunk(&mut self, tail_attr: usize, area_id: AreaId) -> usize {
         let Some(map) = self.maps.get_mut(&tail_attr) else {
             return 0;
@@ -768,7 +617,7 @@ impl PartialSet {
         self.stats.chunks_dropped += 1;
         let info = self.areas.entry(area_id).or_default();
         info.refs.remove(&tail_attr);
-        if info.refs.is_empty() && info.spilled.is_empty() {
+        if info.refs.is_empty() {
             info.fetched = false;
             info.shells.clear();
             info.resolver = None;
@@ -789,8 +638,8 @@ impl PartialSet {
     /// `usage() <= budget` holds exactly. A single query may transiently
     /// exceed the budget while its own chunks are pinned; it must never
     /// *leave* it exceeded.
-    fn enforce_budget(&mut self) -> Result<(), StorageError> {
-        self.make_room(0, &HashSet::new())
+    fn enforce_budget(&mut self) {
+        self.make_room(0, &HashSet::new());
     }
 
     /// Deterministically rebuild the head column of a head-dropped chunk:
@@ -803,7 +652,7 @@ impl PartialSet {
         area: &AreaRef,
         cursor: usize,
         tape: &[AreaEntry],
-    ) -> Result<Vec<Val>, StorageError> {
+    ) -> Vec<Val> {
         // INVARIANT: ensure_chunk_map runs at every public entry point
         // before the internal helpers; field access keeps the borrow
         // disjoint from the sibling fields mutated below.
@@ -812,14 +661,13 @@ impl PartialSet {
         let head_col = base.column(self.head_attr);
         let tail_col = base.column(tail_attr);
         let head: Vec<Val> = heads.to_vec();
-        let mut tail: Vec<Val> = Vec::with_capacity(keys.len());
-        tail_col.try_gather(keys.iter().copied(), |v| tail.push(v))?;
+        let tail: Vec<Val> = keys.iter().map(|&k| tail_col.get(k)).collect();
         let mut tmp = Chunk::seed(head, tail, None);
         tmp.align_to(tape, cursor, head_col, tail_col);
         self.stats.heads_recovered += 1;
         // INVARIANT: Chunk::seed is constructed with a head column and
         // align_to never drops it.
-        Ok(tmp.head().expect("fresh chunk has a head").to_vec())
+        tmp.head().expect("fresh chunk has a head").to_vec()
     }
 
     /// Single-selection, multi-projection query (`select P1.. from R where
@@ -830,8 +678,8 @@ impl PartialSet {
         head_pred: &RangePred,
         projs: &[usize],
         consume: F,
-    ) -> Result<(), StorageError> {
-        self.conjunctive_project_with(base, head_pred, &[], projs, consume)
+    ) {
+        self.conjunctive_project_with(base, head_pred, &[], projs, consume);
     }
 
     /// Conjunctive multi-selection query (§3.3 executed chunk-wise,
@@ -845,11 +693,11 @@ impl PartialSet {
         tail_sels: &[(usize, RangePred)],
         projs: &[usize],
         mut consume: F,
-    ) -> Result<(), StorageError> {
+    ) {
         if head_pred.is_empty_range() || (tail_sels.is_empty() && projs.is_empty()) {
-            return Ok(());
+            return;
         }
-        self.ensure_chunk_map(base)?;
+        self.ensure_chunk_map(base);
         self.note_query(head_pred);
         self.crack_chunk_map_for(head_pred);
         self.clock += 1;
@@ -870,9 +718,9 @@ impl PartialSet {
                 projs,
                 &attrs,
                 &mut consume,
-            )?;
+            );
         }
-        self.enforce_budget()
+        self.enforce_budget();
     }
 
     /// Disjunctive multi-selection (§3.3 executed chunk-wise): predicates
@@ -886,11 +734,11 @@ impl PartialSet {
         preds: &[(usize, RangePred)],
         projs: &[usize],
         mut consume: F,
-    ) -> Result<(), StorageError> {
+    ) {
         if preds.is_empty() || projs.is_empty() {
-            return Ok(());
+            return;
         }
-        self.ensure_chunk_map(base)?;
+        self.ensure_chunk_map(base);
         // Adaptation still happens on the set's own predicate: its cut
         // points refine the chunk map for later conjunctive queries.
         if let Some((_, own)) = preds.iter().find(|(a, _)| *a == self.head_attr) {
@@ -907,9 +755,9 @@ impl PartialSet {
         }
         let areas = self.overlapping_areas(base, &RangePred::all());
         for area in areas {
-            self.process_area_disj(base, &area, preds, projs, &attrs, &mut consume)?;
+            self.process_area_disj(base, &area, preds, projs, &attrs, &mut consume);
         }
-        self.enforce_budget()
+        self.enforce_budget();
     }
 
     /// Check the chunks of `attrs` out of one area for processing — the
@@ -935,7 +783,7 @@ impl PartialSet {
         base: &Table,
         area: &AreaRef,
         attrs: &[usize],
-    ) -> Result<CheckedOutArea, StorageError> {
+    ) -> CheckedOutArea {
         let pinned: HashSet<(usize, AreaId)> = attrs.iter().map(|&a| (a, area.id)).collect();
         for &attr in attrs {
             let present = self
@@ -945,33 +793,8 @@ impl PartialSet {
             if present {
                 continue;
             }
-            // Missing chunk: reload it from the spill tier when a spilled
-            // sibling record exists (cheaper than recracking), otherwise
-            // recreate it from the base columns. Either way the chunk's
-            // tuples must first fit in the resident budget.
-            let slot = self
-                .areas
-                .get_mut(&area.id)
-                .and_then(|info| info.spilled.remove(&attr));
-            let chunk = match (slot, self.spill.clone()) {
-                (Some(slot), Some(tier)) => {
-                    self.make_room(slot.tuples as usize, &pinned)?;
-                    let loaded = self.reload_chunk(&tier, attr, slot);
-                    // The slot is consumed on success *and* on failure: a
-                    // bad record is released and the next access simply
-                    // recreates the chunk from the base (the area kept
-                    // its tape), so one loud error never wedges the set.
-                    tier.release(attr, slot);
-                    let mut chunk = loaded?;
-                    chunk.last_access = self.clock;
-                    self.areas.entry(area.id).or_default().refs.insert(attr);
-                    chunk
-                }
-                _ => {
-                    self.make_room(area.end - area.start, &pinned)?;
-                    self.fetch_chunk(base, attr, area)?
-                }
-            };
+            self.make_room(area.end - area.start, &pinned);
+            let chunk = self.fetch_chunk(base, attr, area);
             self.maps
                 .entry(attr)
                 .or_default()
@@ -979,7 +802,7 @@ impl PartialSet {
                 .insert(area.id, chunk);
         }
         self.flush_staged_for_area(base, area);
-        // The loop above materialized (or reloaded) every chunk, so each
+        // The loop above materialized every chunk, so each
         // take-out succeeds; tolerating an absent entry keeps this path
         // panic-free without changing behaviour.
         let mut chunks: Vec<(usize, Chunk)> = Vec::with_capacity(attrs.len());
@@ -1008,13 +831,13 @@ impl PartialSet {
             .max(update_floor(&tape));
         for (attr, c) in chunks.iter_mut() {
             if c.cursor < target && c.head_dropped() {
-                let head = self.rebuild_head(base, *attr, area, c.cursor, &tape)?;
+                let head = self.rebuild_head(base, *attr, area, c.cursor, &tape);
                 c.restore_head(head);
             }
             self.stats.entries_replayed +=
                 c.align_to(&tape, target, head_col, base.column(*attr)) as u64;
         }
-        Ok((chunks, tape))
+        (chunks, tape)
     }
 
     /// Return the per-query tape snapshot buffer for reuse.
@@ -1051,8 +874,8 @@ impl PartialSet {
         projs: &[usize],
         attrs: &[usize],
         consume: &mut F,
-    ) -> Result<(), StorageError> {
-        let (chunks, tape) = self.checkout_area_chunks(base, area, attrs)?;
+    ) {
+        let (chunks, tape) = self.checkout_area_chunks(base, area, attrs);
 
         // OR bit vector over the whole (aligned) area.
         let len = chunks.first().map_or(0, |(_, c)| c.len());
@@ -1083,7 +906,6 @@ impl PartialSet {
 
         self.reinstall_chunks(area.id, chunks);
         self.recycle_tape(tape);
-        Ok(())
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1096,10 +918,10 @@ impl PartialSet {
         projs: &[usize],
         attrs: &[usize],
         consume: &mut F,
-    ) -> Result<(), StorageError> {
+    ) {
         // Materialize, merge staged updates, take out and align (§3.5 /
         // §4.1 shared machinery).
-        let (mut chunks, tape) = self.checkout_area_chunks(base, area, attrs)?;
+        let (mut chunks, tape) = self.checkout_area_chunks(base, area, attrs);
         let needed = Self::keys_inside(head_pred, area);
         let head_col = base.column(self.head_attr);
         let policy = self.advisor.effective();
@@ -1114,7 +936,7 @@ impl PartialSet {
             let mut missing = false;
             for (attr, c) in chunks.iter_mut() {
                 if !c.has_boundaries(&needed) && c.head_dropped() {
-                    let head = self.rebuild_head(base, *attr, area, c.cursor, &tape)?;
+                    let head = self.rebuild_head(base, *attr, area, c.cursor, &tape);
                     c.restore_head(head);
                 }
                 let (replayed, m) =
@@ -1128,7 +950,7 @@ impl PartialSet {
                 let mut changed = false;
                 for (attr, c) in chunks.iter_mut() {
                     if c.head_dropped() {
-                        let head = self.rebuild_head(base, *attr, area, c.cursor, &tape)?;
+                        let head = self.rebuild_head(base, *attr, area, c.cursor, &tape);
                         c.restore_head(head);
                     }
                     let before = c.index().len();
@@ -1221,7 +1043,6 @@ impl PartialSet {
 
         self.reinstall_chunks(area.id, chunks);
         self.recycle_tape(tape);
-        Ok(())
     }
 }
 

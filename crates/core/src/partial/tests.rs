@@ -62,8 +62,7 @@ fn collect(
     let mut got: Vec<(usize, Vec<Val>)> = projs.iter().map(|&p| (p, Vec::new())).collect();
     s.conjunctive_project_with(t, head_pred, tail_sels, projs, |attr, v| {
         got.iter_mut().find(|(p, _)| *p == attr).unwrap().1.push(v);
-    })
-    .unwrap();
+    });
     got
 }
 
@@ -422,8 +421,7 @@ fn disjunctive_matches_scan() {
         let mut got: Vec<(usize, Vec<Val>)> = vec![(2, Vec::new())];
         s.disjunctive_project_with(&t, &preds, &[2], |attr, v| {
             got.iter_mut().find(|(p, _)| *p == attr).unwrap().1.push(v);
-        })
-        .unwrap();
+        });
         // Naive union.
         let mut want = vec![(2usize, Vec::new())];
         for row in 0..t.num_rows() as u32 {

@@ -131,8 +131,7 @@ fn partial_maps_budget_correct() {
             let p = pred(rng.gen_range(0i64..50), rng.gen_range(0i64..25));
             let attr = 1 + rng.gen_range(0usize..3);
             let mut got = Vec::new();
-            set.select_project_with(&t, &p, &[attr], |_, v| got.push(v))
-                .unwrap();
+            set.select_project_with(&t, &p, &[attr], |_, v| got.push(v));
             got.sort_unstable();
             let mut expected: Vec<Val> = (0..n)
                 .filter(|&i| p.matches(a[i]))
@@ -150,16 +149,12 @@ fn partial_maps_budget_correct() {
     });
 }
 
-/// Spill round-trip property: a partial set with a spill tier and a
-/// tiny budget — so chunks constantly serialize to disk, reload and
-/// un-merge — answers bit-for-bit like a never-evicted set and a naive
-/// scan, and `usage() <= budget` holds *exactly* after every query
-/// (spilled tuples are disk-resident and must not count).
+/// Eviction property: a partial set under a tiny budget — so chunks
+/// are constantly dropped, recreated from the base and un-merged —
+/// answers bit-for-bit like a never-evicted set and a naive scan, and
+/// `usage() <= budget` holds *exactly* after every query.
 #[test]
-fn spilled_partial_sets_match_never_evicted() {
-    use crackdb_core::SpillTier;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+fn budgeted_partial_sets_match_never_evicted() {
     cases(0x5B111ED, |rng| {
         let a = vec_of(rng, 0, 50, 8, 120);
         let n = a.len();
@@ -174,37 +169,32 @@ fn spilled_partial_sets_match_never_evicted() {
             .collect();
         let t = table(cols);
         let budget = (n / rng.gen_range(3usize..8)).max(8);
-        let dir = std::env::temp_dir().join(format!(
-            "crackdb-prop-spill-{}-{}",
-            std::process::id(),
-            DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
         let mut cold = PartialSet::new(0);
         cold.budget = Some(budget);
-        cold.set_spill(Some(SpillTier::new(dir, "prop")));
         let mut hot = PartialSet::new(0);
         let nq = rng.gen_range(4usize..20);
         for _ in 0..nq {
             let p = pred(rng.gen_range(0i64..50), rng.gen_range(0i64..25));
             let attr = 1 + rng.gen_range(0usize..3);
             let mut got_cold = Vec::new();
-            cold.select_project_with(&t, &p, &[attr], |_, v| got_cold.push(v))
-                .unwrap();
+            cold.select_project_with(&t, &p, &[attr], |_, v| got_cold.push(v));
             let mut got_hot = Vec::new();
-            hot.select_project_with(&t, &p, &[attr], |_, v| got_hot.push(v))
-                .unwrap();
+            hot.select_project_with(&t, &p, &[attr], |_, v| got_hot.push(v));
             got_cold.sort_unstable();
             got_hot.sort_unstable();
-            assert_eq!(got_cold, got_hot, "spilled answers drift from in-RAM");
+            assert_eq!(
+                got_cold, got_hot,
+                "evicted answers drift from never-evicted"
+            );
             let mut expected: Vec<Val> = (0..n)
                 .filter(|&i| p.matches(a[i]))
                 .map(|i| t.column(attr).get(i as u32))
                 .collect();
             expected.sort_unstable();
-            assert_eq!(got_cold, expected, "spilled answers drift from scan");
+            assert_eq!(got_cold, expected, "evicted answers drift from scan");
             assert!(
                 cold.usage() <= budget,
-                "resident usage {} exceeds budget {} exactly after a query",
+                "usage {} exceeds budget {} exactly after a query",
                 cold.usage(),
                 budget
             );
@@ -238,67 +228,5 @@ fn histogram_bounds_hold() {
         assert!(est.upper >= truth, "upper {} < truth {}", est.upper, truth);
         assert!(est.estimate >= est.lower as f64 - 1e-9);
         assert!(est.estimate <= est.upper as f64 + 1e-9);
-    });
-}
-
-/// A spilled chunk round-trips into a replica that replays the rest of
-/// its area tape bit-identically: the spill format preserves everything
-/// replay depends on (cursor, index shell, access bookkeeping), and
-/// every logged crack carries the effective policy it originally ran
-/// under, so mixed-policy tapes (adaptive advisor switching mid-run)
-/// reproduce exactly.
-#[test]
-fn spill_reload_replays_mixed_policy_tapes_bit_identically() {
-    use crackdb_core::partial::spill::{decode_chunk, encode_chunk};
-    use crackdb_core::partial::Chunk;
-    use crackdb_core::AreaEntry;
-    use crackdb_cracking::CrackPolicy;
-
-    cases(0x5B111, |rng| {
-        let head = vec_of(rng, 0, 200, 8, 120);
-        let n = head.len();
-        let tail: Vec<Val> = (0..n as Val).map(|i| i + 5000).collect();
-        let t = table(vec![head.clone(), tail.clone()]);
-        let (head_col, tail_col) = (t.column(0), t.column(1));
-
-        // A tape of cracks logged under a mix of effective policies, as
-        // an adaptive advisor switching mid-run would leave behind.
-        let policies = [
-            CrackPolicy::Standard,
-            CrackPolicy::stochastic(),
-            CrackPolicy::coarse(),
-            CrackPolicy::CoarseGranular { min_piece: 4 },
-        ];
-        let tape: Vec<AreaEntry> = (0..rng.gen_range(2usize..12))
-            .map(|_| {
-                let p = pred(rng.gen_range(0i64..200), rng.gen_range(0i64..80));
-                AreaEntry::Crack(p, policies[rng.gen_range(0usize..policies.len())])
-            })
-            .collect();
-
-        // Replay a prefix, then spill.
-        let mut live = Chunk::seed(head.clone(), tail.clone(), None);
-        let split = rng.gen_range(0usize..=tape.len());
-        live.align_to(&tape, split, head_col, tail_col);
-        live.accesses = rng.gen_range(0u64..50);
-        live.last_access = rng.gen_range(0u64..1000);
-
-        let mut reloaded =
-            decode_chunk(&encode_chunk(&live), "proptest").expect("spill round-trip decodes");
-        assert_eq!(reloaded.cursor, live.cursor, "cursor survives the spill");
-        assert_eq!(reloaded.accesses, live.accesses);
-        assert_eq!(reloaded.last_access, live.last_access);
-        assert_eq!(reloaded.tail(), live.tail());
-
-        // Both finish the tape; a reloaded chunk must be
-        // indistinguishable from one that never left memory.
-        live.align_to(&tape, tape.len(), head_col, tail_col);
-        if reloaded.head_dropped() {
-            reloaded.restore_head(head.clone());
-        }
-        reloaded.align_to(&tape, tape.len(), head_col, tail_col);
-        assert_eq!(reloaded.head(), live.head(), "replayed heads diverged");
-        assert_eq!(reloaded.tail(), live.tail(), "replayed tails diverged");
-        assert_eq!(reloaded.index().len(), live.index().len());
     });
 }

@@ -45,8 +45,8 @@
 //! `Adaptive` does), but every tape entry records the effective static
 //! policy the original crack ran under, and replay always uses the
 //! logged policy — never the owner's current one — so siblings,
-//! late-created maps and spill-reloaded chunks reproduce each historic
-//! crack bit-for-bit regardless of what the advisor has decided since.
+//! late-created maps and recreated chunks reproduce each historic crack
+//! bit-for-bit regardless of what the advisor has decided since.
 
 /// How many tuples a piece may hold before [`CrackPolicy::Stochastic`]
 /// stops injecting advisory pivots and cracks exactly.

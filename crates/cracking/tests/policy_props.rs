@@ -135,7 +135,7 @@ fn head_stays_a_permutation_and_boundaries_stay_exact() {
 /// (5): the adaptive advisor is a deterministic fold over the predicate
 /// stream, and the (pred, effective-policy) log it produces replays a
 /// fresh array to a bit-identical state with no advisor present — the
-/// contract every tape (MapSet, partial areas, spill/reload) relies on.
+/// contract every tape (MapSet, partial areas, chunk recreation) relies on.
 #[test]
 fn adaptive_advisor_log_replays_bit_identically() {
     let n = 60_000usize;

@@ -37,7 +37,6 @@ pub use snapshot::{EngineSnapshot, SnapPlan};
 use crate::query::{AggAcc, JoinSide, QueryError, QueryOutput, SelectQuery};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_cracking::{CrackKernel, CrackPolicy};
-use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -197,61 +196,6 @@ pub fn snapshot_reads_from_env() -> bool {
     }
 }
 
-/// Parse a `CRACKDB_SPILL_DIR`-style override value: unset or empty
-/// means "no override" (spill-enabled engines then place their spill
-/// files under the system temp dir); anything else is taken as a
-/// directory path. Purely syntactic — existence is checked by the
-/// strict [`env_spill_dir`], which can see the filesystem.
-fn spill_dir_override(value: Option<&str>) -> Result<Option<PathBuf>, String> {
-    match value.map(str::trim) {
-        None | Some("") => Ok(None),
-        Some(v) => Ok(Some(PathBuf::from(v))),
-    }
-}
-
-/// Validate the `CRACKDB_SPILL_DIR` environment selection, parsed once
-/// per process — the strict entry point [`ServiceConfig`] validation
-/// and the env-validity test CI relies on call, exactly as
-/// [`env_policy`] / [`env_kernel`] are for their variables: a spill
-/// directory that exists but is not a directory must fail loudly at
-/// startup, not as a confusing I/O error inside the first evicting
-/// query. A non-existent path is fine (spill tiers create their own
-/// unique subdirectory on first use).
-pub fn env_spill_dir() -> Result<Option<PathBuf>, String> {
-    static SPILL: OnceLock<Result<Option<PathBuf>, String>> = OnceLock::new();
-    SPILL
-        .get_or_init(|| {
-            let dir = spill_dir_override(registry_var("CRACKDB_SPILL_DIR").as_deref())?;
-            if let Some(d) = &dir {
-                if d.exists() && !d.is_dir() {
-                    return Err(format!(
-                        "CRACKDB_SPILL_DIR={d:?} exists but is not a directory"
-                    ));
-                }
-            }
-            Ok(dir)
-        })
-        .clone()
-}
-
-/// The spill base directory spill-enabled engine constructors default
-/// to: the validated `CRACKDB_SPILL_DIR` selection when set, the
-/// system temp dir otherwise. *Non-fatal* by design, like
-/// [`policy_from_env`]: an invalid value logs one warning per process
-/// and falls back to the temp dir (and is reported as a proper error
-/// by the strict [`env_spill_dir`] at service startup).
-pub fn spill_dir_from_env() -> PathBuf {
-    static WARNED: OnceLock<()> = OnceLock::new();
-    match env_spill_dir() {
-        Ok(Some(d)) => d,
-        Ok(None) => std::env::temp_dir(),
-        Err(msg) => {
-            WARNED.get_or_init(|| eprintln!("warning: {msg}; spilling to the system temp dir"));
-            std::env::temp_dir()
-        }
-    }
-}
-
 /// Order predicates by the path's selectivity estimates: ascending
 /// (most selective first) for conjunctions, descending for disjunctions.
 ///
@@ -300,17 +244,19 @@ fn order_preds<P: AccessPath + ?Sized>(
     out
 }
 
-/// Execute a single-table query over any access path, panicking on a
-/// storage-tier failure. In-RAM paths are infallible, so this is the
-/// `select` implementation they share; spill-enabled engines call
-/// [`try_run_select`] and surface the error instead.
+/// Execute a single-table query over any access path: the one
+/// `select` implementation all five engines share.
 pub fn run_select<P: AccessPath + ?Sized>(path: &mut P, q: &SelectQuery) -> QueryOutput {
-    try_run_select(path, q).unwrap_or_else(|e| panic!("storage failure in infallible select: {e}"))
+    match try_run_select(path, q) {
+        Ok(out) => out,
+        Err(e) => match e {},
+    }
 }
 
-/// Execute a single-table query over any access path. This is the one
-/// `select` implementation all five engines share; engines with a
-/// storage tier get disk failures back as [`QueryError::Storage`].
+/// The fallible form of [`run_select`], in the error type of
+/// [`AccessPath::fetch`]: a wrapper path that forwards an inner path's
+/// `fetch` result runs the executor through this. [`QueryError`] has no
+/// variants, so the result is always `Ok`.
 pub fn try_run_select<P: AccessPath + ?Sized>(
     path: &mut P,
     q: &SelectQuery,
@@ -825,39 +771,6 @@ mod tests {
             v,
             "lenient and strict reads agree"
         );
-    }
-
-    #[test]
-    fn spill_dir_override_parses() {
-        assert_eq!(spill_dir_override(None), Ok(None));
-        assert_eq!(spill_dir_override(Some("")), Ok(None));
-        assert_eq!(spill_dir_override(Some("  ")), Ok(None));
-        assert_eq!(
-            spill_dir_override(Some("/tmp/spills")),
-            Ok(Some(PathBuf::from("/tmp/spills")))
-        );
-        assert_eq!(
-            spill_dir_override(Some(" relative/dir ")),
-            Ok(Some(PathBuf::from("relative/dir")))
-        );
-    }
-
-    /// The CI oom job exports `CRACKDB_SPILL_DIR` for entire test runs;
-    /// a value pointing at a non-directory must fail loudly here instead
-    /// of the lenient default silently spilling to the temp dir while a
-    /// green job reports spill-dir coverage it never ran.
-    #[test]
-    fn env_spill_dir_is_valid() {
-        let d = env_spill_dir()
-            .expect("CRACKDB_SPILL_DIR must be unset or name a (possibly absent) directory");
-        match d {
-            Some(dir) => assert_eq!(spill_dir_from_env(), dir, "lenient and strict reads agree"),
-            None => assert_eq!(
-                spill_dir_from_env(),
-                std::env::temp_dir(),
-                "unset falls back to the temp dir"
-            ),
-        }
     }
 
     #[test]

@@ -133,8 +133,8 @@ pub trait AccessPath {
     /// Stream the values of each attribute in `attrs` for the qualifying
     /// rows, as `consume(attr, value)`. Values of one attribute arrive in
     /// row-set order; chunk-wise engines may interleave attributes.
-    /// Engines with a storage tier surface disk failures as
-    /// [`QueryError::Storage`]; in-RAM engines are infallible.
+    /// Every engine's fetch is infallible; the `Result` lets wrapper
+    /// paths forward an inner path's result unchanged.
     fn fetch(
         &mut self,
         rows: &RowSet,

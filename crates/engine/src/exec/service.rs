@@ -493,7 +493,6 @@ impl<E: Engine + Send + 'static> Service<E> {
         super::env_policy().map_err(ServiceError::Config)?;
         super::env_kernel().map_err(ServiceError::Config)?;
         super::env_snapshot_reads().map_err(ServiceError::Config)?;
-        super::env_spill_dir().map_err(ServiceError::Config)?;
         let (cuts, shards, inserted) = engine.into_parts();
         let nshards = shards.len();
         let epoch = Arc::new(EpochDomain::new());

@@ -66,44 +66,6 @@ impl PartialEngine {
         }
     }
 
-    /// Single-table engine with the disk spill tier enabled: chunks
-    /// evicted by the budget serialize to per-column spill files under
-    /// the `CRACKDB_SPILL_DIR` base directory (system temp dir when
-    /// unset) and reload on re-access instead of recracking. Use
-    /// [`Engine::try_select`] / [`Engine::try_join`] with a spilled
-    /// engine — spill I/O failures surface as
-    /// [`QueryError::Storage`](crate::query::QueryError::Storage).
-    pub fn with_spill(base: Table, domain: (Val, Val), budget: Option<usize>) -> Self {
-        Self::with_spill_dir(base, domain, budget, exec::spill_dir_from_env())
-    }
-
-    /// [`Self::with_spill`] with an explicit spill base directory (a
-    /// unique per-store subdirectory is created beneath it on first
-    /// eviction and removed when the engine drops).
-    pub fn with_spill_dir(
-        base: Table,
-        domain: (Val, Val),
-        budget: Option<usize>,
-        dir: impl Into<std::path::PathBuf>,
-    ) -> Self {
-        Self::with_spill_policy(base, domain, budget, dir, exec::policy_from_env())
-    }
-
-    /// [`Self::with_spill_dir`] with an explicit [`CrackPolicy`] (the
-    /// spill differential suite runs the whole spill surface once per
-    /// policy without going through the environment hook).
-    pub fn with_spill_policy(
-        base: Table,
-        domain: (Val, Val),
-        budget: Option<usize>,
-        dir: impl Into<std::path::PathBuf>,
-        policy: CrackPolicy,
-    ) -> Self {
-        let mut e = PartialEngine::with_policy(base, domain, budget, policy);
-        e.store.enable_spill(dir.into());
-        e
-    }
-
     /// Enable the §4.1 head-dropping policy: chunks whose largest piece is
     /// at most `threshold` tuples shed their head column after use.
     pub fn set_head_drop_threshold(&mut self, threshold: Option<usize>) {
@@ -137,11 +99,7 @@ type SideRows = (Vec<Val>, Vec<(usize, Vec<Val>)>);
 /// a positionally consistent order (same tuples, same order per
 /// attribute), so zipping the columns recovers the side's tuples.
 /// Returns `(join values, (attr, column) pairs)`.
-fn side_rows(
-    store: &mut PartialStore,
-    base: &Table,
-    side: &JoinSide,
-) -> Result<SideRows, QueryError> {
+fn side_rows(store: &mut PartialStore, base: &Table, side: &JoinSide) -> SideRows {
     let mut attrs = vec![side.join_attr];
     for &(a, _) in &side.aggs {
         if !attrs.contains(&a) {
@@ -160,14 +118,14 @@ fn side_rows(
                 col.push(v);
             }
         }
-    })?;
+    });
     let join_vals = cols
         .iter()
         .find(|(a, _)| *a == side.join_attr)
         .expect("join attribute collected")
         .1
         .clone();
-    Ok((join_vals, cols))
+    (join_vals, cols)
 }
 
 /// Pre-partition a join input at shared equal-width cut points so
@@ -240,22 +198,22 @@ impl AccessPath for PartialEngine {
             // The fused chunk-wise pass: one traversal merges pending
             // updates, materializes, aligns and cracks the touched chunks
             // of every attribute and streams the qualifying values.
-            RowSet::Deferred { head, residual } => self
-                .store
-                .set_mut(&self.base, head.0)
-                .conjunctive_project_with(&self.base, &head.1, residual, attrs, consume)
-                .map_err(QueryError::from),
+            RowSet::Deferred { head, residual } => {
+                self.store
+                    .set_mut(&self.base, head.0)
+                    .conjunctive_project_with(&self.base, &head.1, residual, attrs, consume);
+            }
             // Union form: all areas of the least selective predicate's
             // set, one OR bit vector per area.
             RowSet::DeferredUnion { preds } => {
                 let head = preds.first().map_or(0, |p| p.0);
                 self.store
                     .set_mut(&self.base, head)
-                    .disjunctive_project_with(&self.base, preds, attrs, consume)
-                    .map_err(QueryError::from)
+                    .disjunctive_project_with(&self.base, preds, attrs, consume);
             }
             _ => unreachable!("partial plans are deferred"),
         }
+        Ok(())
     }
 
     fn is_adaptive(&self) -> bool {
@@ -272,24 +230,15 @@ impl Engine for PartialEngine {
         exec::run_select(self, q)
     }
 
-    fn try_select(&mut self, q: &SelectQuery) -> Result<QueryOutput, QueryError> {
-        exec::try_run_select(self, q)
-    }
-
     fn join(&mut self, q: &JoinQuery) -> QueryOutput {
-        self.try_join(q)
-            .unwrap_or_else(|e| panic!("storage failure in infallible join: {e}"))
-    }
-
-    fn try_join(&mut self, q: &JoinQuery) -> Result<QueryOutput, QueryError> {
         let second = self.second.as_ref().expect("join needs a second table");
         let mut out = QueryOutput::default();
         let mut timings = Timings::default();
 
         // Selection + pre-join reconstruction, fused chunk-wise per side.
         let t0 = Instant::now();
-        let (lvals, lcols) = side_rows(&mut self.store, &self.base, &q.left)?;
-        let (rvals, rcols) = side_rows(&mut self.second_store, second, &q.right)?;
+        let (lvals, lcols) = side_rows(&mut self.store, &self.base, &q.left);
+        let (rvals, rcols) = side_rows(&mut self.second_store, second, &q.right);
         timings.select = t0.elapsed();
 
         // §3.4 partitioned cracker join: both inputs become cracked
@@ -327,7 +276,7 @@ impl Engine for PartialEngine {
             }));
         timings.post_join = t2.elapsed();
         out.timings = timings;
-        Ok(out)
+        out
     }
 
     fn insert(&mut self, row: &[Val]) {

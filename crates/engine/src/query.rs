@@ -1,42 +1,25 @@
 //! The query shapes of the paper's experiments, and the common executor
 //! interface every physical design implements.
 
-use crackdb_columnstore::storage::StorageError;
 use crackdb_columnstore::types::{AggFunc, RangePred, RowId, Val};
 use std::fmt;
 use std::time::Duration;
 
-/// A typed query failure. In-RAM engines are infallible; engines with a
-/// storage tier (segmented base columns, chunk spill files) surface disk
-/// trouble here instead of panicking.
+/// A typed query failure. Every engine answers every well-formed query
+/// today, so the enum has no variants and a `Result<_, QueryError>` can
+/// only be `Ok`; it keeps [`Engine::try_select`] and
+/// [`AccessPath::fetch`](crate::exec::AccessPath::fetch) fallible in
+/// signature so typed rejections can be added without changing them.
 #[derive(Debug)]
-pub enum QueryError {
-    /// A storage-tier read or write failed (I/O error, checksum
-    /// mismatch, truncated file).
-    Storage(StorageError),
-}
+pub enum QueryError {}
 
 impl fmt::Display for QueryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QueryError::Storage(e) => write!(f, "storage error: {e}"),
-        }
+    fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {}
     }
 }
 
-impl std::error::Error for QueryError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            QueryError::Storage(e) => Some(e),
-        }
-    }
-}
-
-impl From<StorageError> for QueryError {
-    fn from(e: StorageError) -> Self {
-        QueryError::Storage(e)
-    }
-}
+impl std::error::Error for QueryError {}
 
 /// A single-table query: conjunctive or disjunctive range predicates plus
 /// aggregate and/or raw projections. Covers q1/q3 (§3.6), the `Qi`
@@ -148,16 +131,11 @@ pub trait Engine {
     /// Execute a two-table join query.
     fn join(&mut self, q: &JoinQuery) -> QueryOutput;
 
-    /// Fallible select: engines with a storage tier override this to
-    /// surface disk failures as typed errors. The default wraps the
-    /// infallible [`Engine::select`].
+    /// Fallible select, for wrappers that run the shared executor
+    /// through [`exec::try_run_select`](crate::exec::try_run_select).
+    /// The default wraps the infallible [`Engine::select`].
     fn try_select(&mut self, q: &SelectQuery) -> Result<QueryOutput, QueryError> {
         Ok(self.select(q))
-    }
-
-    /// Fallible join; see [`Engine::try_select`].
-    fn try_join(&mut self, q: &JoinQuery) -> Result<QueryOutput, QueryError> {
-        Ok(self.join(q))
     }
 
     /// Append a new tuple (values in column order) to the primary table.

@@ -358,15 +358,13 @@ impl TpchExecutor {
         // The fused chunk-wise pass streams each projection attribute's
         // qualifying values in a positionally consistent order.
         let mut cols: Vec<Vec<Val>> = projs.iter().map(|_| Vec::new()).collect();
-        store
-            .conjunctive_project_with(table, &preds, projs, |attr, v| {
-                for (i, &p) in projs.iter().enumerate() {
-                    if p == attr {
-                        cols[i].push(v);
-                    }
+        store.conjunctive_project_with(table, &preds, projs, |attr, v| {
+            for (i, &p) in projs.iter().enumerate() {
+                if p == attr {
+                    cols[i].push(v);
                 }
-            })
-            .expect("tpch partial stores are resident and unspilled");
+            }
+        });
         cols
     }
 

@@ -15,8 +15,8 @@
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::types::{AggFunc, RangePred, RowId, Val};
 use crackdb_engine::{
-    Engine, PartialEngine, PlainEngine, PresortedEngine, QueryOutput, SelCrackEngine, SelectQuery,
-    ShardedEngine, SidewaysEngine,
+    CrackPolicy, Engine, PartialEngine, PlainEngine, PresortedEngine, QueryOutput, SelCrackEngine,
+    SelectQuery, ShardedEngine, SidewaysEngine,
 };
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use crackdb_workloads::random_table;
@@ -139,14 +139,31 @@ fn unsharded_engines_agree_under_interleaved_updates() {
 
 /// §3.5 under §4 storage pressure: the partial engine must stay
 /// bit-identical to the baseline while evicting chunks, and its usage
-/// must respect the budget exactly after every query.
+/// must respect the budget exactly after every query. Besides the
+/// environment-selected policy, every static policy runs under a budget
+/// tight enough that chunks are dropped, recreated and un-merged
+/// constantly.
 #[test]
 fn partial_with_budget_agrees_and_respects_budget_under_updates() {
     let t = random_table(3, 311, DOMAIN.1, 61);
     let ops = workload(3, 311, 120, 62);
     let expected = expected_for(&t, &ops);
-    for budget in [150, 400] {
-        let mut e = PartialEngine::new(t.clone(), DOMAIN, Some(budget));
+    let runs = [
+        (150, None),
+        (400, None),
+        (120, Some(CrackPolicy::Standard)),
+        (120, Some(CrackPolicy::stochastic())),
+        (120, Some(CrackPolicy::CoarseGranular { min_piece: 16 })),
+    ];
+    for (budget, policy) in runs {
+        let mut e = match policy {
+            None => PartialEngine::new(t.clone(), DOMAIN, Some(budget)),
+            Some(p) => PartialEngine::with_policy(t.clone(), DOMAIN, Some(budget), p),
+        };
+        let ctx = format!(
+            "partial budget={budget} policy={}",
+            policy.map_or("env", |p| p.label())
+        );
         let mut outs = Vec::new();
         for op in &ops {
             match op {
@@ -162,7 +179,11 @@ fn partial_with_budget_agrees_and_respects_budget_under_updates() {
                 }
             }
         }
-        assert_same(&outs, &expected, &format!("partial budget={budget}"));
+        assert!(
+            e.store().stats_sum().chunks_dropped > 0,
+            "{ctx}: the budget never evicted"
+        );
+        assert_same(&outs, &expected, &ctx);
     }
 }
 
