@@ -16,24 +16,22 @@
 //! the 1-worker figure for the adaptive engines (this container may
 //! have few cores; CI uploads the artifact for exactly that check).
 //!
-//! A second series (`mixed95`) exercises the lock-free snapshot read
-//! path: a 95/5 read-heavy mix on one selection-cracking shard, swept
-//! over reader counts with the fast path on vs off. With the fast path
-//! off every read serializes through the single shard worker; with it
-//! on, converged reads execute on the client threads and the reader
-//! sweep can scale (again only visibly on a multi-core host —
-//! `host_threads` in the artifact says which kind ran).
+//! A second series (`mixed95`) is a 95/5 read-heavy mix on one
+//! selection-cracking shard, swept over reader counts. Every read
+//! serializes through the single shard worker, so the sweep shows what
+//! the sequenced queue costs under contention (`host_threads` in the
+//! artifact says how many cores the readers had).
 //!
 //! Usage: `cargo run --release --bin service_bench [--n=…] [--queries=…
 //! per client] [--clients=…] [--shards=…] [--seed=…]`
 
-use crackdb_bench::harness::{write_bench_json, JsonList, JsonObj, Percentiles};
+use crackdb_bench::harness::{git_commit, write_bench_json, JsonList, JsonObj, Percentiles};
 use crackdb_bench::{fmt_ms, header, time_ms, Args};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::types::{AggFunc, RangePred, RowId, Val};
 use crackdb_engine::{
     Engine, PartialEngine, PlainEngine, PresortedEngine, SelCrackEngine, SelectQuery, Service,
-    ServiceConfig, ShardedEngine, SidewaysEngine,
+    ShardedEngine, SidewaysEngine,
 };
 use crackdb_workloads::{random_table, Pattern, RangeGen};
 
@@ -120,6 +118,7 @@ fn main() {
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let root = JsonObj::new()
         .str("bench", "service")
+        .str("commit", &git_commit())
         .u64("rows", args.n as u64)
         .u64("clients", clients as u64)
         .u64("queries_per_client", args.queries as u64)
@@ -228,145 +227,113 @@ fn run_engine<E: Engine + Send + 'static>(
     }
 }
 
-/// The snapshot-read acceptance series: a 95/5 read-heavy mix on one
-/// selection-cracking shard, readers ∈ {1, 2, 4} × the fast path on
-/// ("fast") vs off ("queue"). One shard makes the contrast sharp: with
-/// the fast path off every read serializes through the shard's owner
-/// worker; with it on, converged reads run on the client threads and
-/// only writes take the worker hop.
+/// The read-heavy series: a 95/5 mix on one selection-cracking shard,
+/// readers ∈ {1, 2, 4}. One shard makes every read serialize through
+/// the shard's owner worker, the worst case for the sequenced queue.
 ///
-/// Answer checking across all six configurations needs read answers
-/// that do not depend on write timing, so the 5% write mix stays
-/// invisible to the reads: inserts carry values above the queried
-/// domain and deletes only remove a client's own earlier inserts.
-/// Every configuration executes the same read pool (strided across
-/// the readers), so total result rows must be identical — the sweep
-/// is answer-checked, not just timed.
+/// Answer checking across the reader counts needs read answers that do
+/// not depend on write timing, so the 5% write mix stays invisible to
+/// the reads: inserts carry values above the queried domain and deletes
+/// only remove a client's own earlier inserts. Every configuration
+/// executes the same read pool (strided across the readers), so total
+/// result rows must be identical — the sweep is answer-checked, not
+/// just timed.
 fn run_mixed95(args: &Args, table: &Table) -> JsonList {
     let domain: Val = args.n as Val;
     let reads_total = (args.queries * 8).max(160);
     let pool = client_queries(Pattern::Random, domain, reads_total, args.seed + 777);
-    println!("mixed95: 95/5 read-heavy mix, 1 selection-cracking shard, {reads_total} reads, mode x readers sweep");
-    header(&[
-        "mode",
-        "readers",
-        "total_ms",
-        "qps",
-        "p50_us",
-        "p95_us",
-        "p99_us",
-        "snap_hits",
-    ]);
+    println!("mixed95: 95/5 read-heavy mix, 1 selection-cracking shard, {reads_total} reads, readers sweep");
+    header(&["readers", "total_ms", "qps", "p50_us", "p95_us", "p99_us"]);
 
     let mut out = JsonList::new();
     let mut reference_rows: Option<usize> = None;
-    for (mode, snapshot_reads) in [("fast", true), ("queue", false)] {
-        for readers in [1usize, 2, 4] {
-            let sharded = ShardedEngine::build(table.clone(), 1, |_, part| {
-                SelCrackEngine::new(part, (0, domain))
-            });
-            let config = ServiceConfig {
-                snapshot_reads,
-                ..ServiceConfig::default()
-            };
-            let svc = Service::with_config(sharded, config).expect("service starts");
+    for readers in [1usize, 2, 4] {
+        let sharded = ShardedEngine::build(table.clone(), 1, |_, part| {
+            SelCrackEngine::new(part, (0, domain))
+        });
+        let svc = Service::start(sharded).expect("service starts");
 
-            // Warm-up on one client: a uniform boundary sweep (converges
-            // every piece well under the publication cap) plus one pass
-            // over the read pool, so the timed phase only re-visits
-            // cracked bounds. Not timed, not counted.
-            {
-                let warm = svc.client();
-                let step = (domain / 256).max(1);
-                let mut lo = 0;
-                while lo < domain {
-                    let q = SelectQuery::aggregate(
-                        vec![(0, RangePred::open(lo, (lo + step).min(domain)))],
-                        vec![(0, AggFunc::Count)],
-                    );
-                    warm.select(&q).expect("warm-up sweep");
-                    lo += step;
-                }
-                for q in &pool {
-                    warm.select(q).expect("warm-up pool pass");
-                }
-            }
-            svc.take_latencies();
-            let warm_hits = svc.snapshot_hits();
-
-            let (ms, total_rows) = time_ms(|| {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..readers)
-                        .map(|r| {
-                            let client = svc.client();
-                            let pool = &pool;
-                            s.spawn(move || {
-                                let mut rows = 0usize;
-                                let mut own: Vec<RowId> = Vec::new();
-                                let mut minted: Val = 0;
-                                for (i, q) in pool.iter().skip(r).step_by(readers).enumerate() {
-                                    if i % 19 == 18 {
-                                        if own.len() >= 2 {
-                                            let key = own.remove(0);
-                                            client.delete(key).expect("delete own insert");
-                                        } else {
-                                            let v = domain + 1 + (minted % domain);
-                                            minted += 1;
-                                            let w =
-                                                client.insert(&[v, v, v, v]).expect("insert row");
-                                            own.push(w.key.expect("insert returns a key"));
-                                        }
-                                    }
-                                    rows += client.select(q).expect("read served").output.rows;
-                                }
-                                rows
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("reader session"))
-                        .sum::<usize>()
-                })
-            });
-            match reference_rows {
-                None => reference_rows = Some(total_rows),
-                Some(rr) => assert_eq!(
-                    rr, total_rows,
-                    "mixed95: answers must not depend on mode or reader count"
-                ),
-            }
-            let hits = svc.snapshot_hits() - warm_hits;
-            if snapshot_reads {
-                assert!(
-                    hits > 0,
-                    "mixed95/fast: converged reads must hit the snapshot path"
+        // Warm-up on one client: a uniform boundary sweep plus one pass
+        // over the read pool, so the timed phase only re-visits cracked
+        // bounds. Not timed, not counted.
+        {
+            let warm = svc.client();
+            let step = (domain / 256).max(1);
+            let mut lo = 0;
+            while lo < domain {
+                let q = SelectQuery::aggregate(
+                    vec![(0, RangePred::open(lo, (lo + step).min(domain)))],
+                    vec![(0, AggFunc::Count)],
                 );
-            } else {
-                assert_eq!(hits, 0, "mixed95/queue: the fast path is off");
+                warm.select(&q).expect("warm-up sweep");
+                lo += step;
             }
-            let lat = Percentiles::from_nanos(svc.take_latencies());
-            svc.shutdown();
-            let qps = reads_total as f64 / (ms / 1e3);
-            println!(
-                "{mode}\t{readers}\t{}\t{qps:.1}\t{:.1}\t{:.1}\t{:.1}\t{hits}",
-                fmt_ms(ms),
-                lat.p50_ns as f64 / 1e3,
-                lat.p95_ns as f64 / 1e3,
-                lat.p99_ns as f64 / 1e3,
-            );
-            out.push(
-                JsonObj::new()
-                    .str("mode", mode)
-                    .u64("readers", readers as u64)
-                    .u64("reads", reads_total as u64)
-                    .u64("rows", total_rows as u64)
-                    .u64("snapshot_hits", hits)
-                    .f64("total_ms", ms)
-                    .f64("qps", qps)
-                    .obj("latency", lat.to_json()),
-            );
+            for q in &pool {
+                warm.select(q).expect("warm-up pool pass");
+            }
         }
+        svc.take_latencies();
+
+        let (ms, total_rows) = time_ms(|| {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..readers)
+                    .map(|r| {
+                        let client = svc.client();
+                        let pool = &pool;
+                        s.spawn(move || {
+                            let mut rows = 0usize;
+                            let mut own: Vec<RowId> = Vec::new();
+                            let mut minted: Val = 0;
+                            for (i, q) in pool.iter().skip(r).step_by(readers).enumerate() {
+                                if i % 19 == 18 {
+                                    if own.len() >= 2 {
+                                        let key = own.remove(0);
+                                        client.delete(key).expect("delete own insert");
+                                    } else {
+                                        let v = domain + 1 + (minted % domain);
+                                        minted += 1;
+                                        let w = client.insert(&[v, v, v, v]).expect("insert row");
+                                        own.push(w.key.expect("insert returns a key"));
+                                    }
+                                }
+                                rows += client.select(q).expect("read served").output.rows;
+                            }
+                            rows
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("reader session"))
+                    .sum::<usize>()
+            })
+        });
+        match reference_rows {
+            None => reference_rows = Some(total_rows),
+            Some(rr) => assert_eq!(
+                rr, total_rows,
+                "mixed95: answers must not depend on the reader count"
+            ),
+        }
+        let lat = Percentiles::from_nanos(svc.take_latencies());
+        svc.shutdown();
+        let qps = reads_total as f64 / (ms / 1e3);
+        println!(
+            "{readers}\t{}\t{qps:.1}\t{:.1}\t{:.1}\t{:.1}",
+            fmt_ms(ms),
+            lat.p50_ns as f64 / 1e3,
+            lat.p95_ns as f64 / 1e3,
+            lat.p99_ns as f64 / 1e3,
+        );
+        out.push(
+            JsonObj::new()
+                .u64("readers", readers as u64)
+                .u64("reads", reads_total as u64)
+                .u64("rows", total_rows as u64)
+                .f64("total_ms", ms)
+                .f64("qps", qps)
+                .obj("latency", lat.to_json()),
+        );
     }
     out
 }

@@ -34,7 +34,6 @@ pub mod cracked;
 pub mod index;
 pub mod kernel;
 pub mod policy;
-pub mod snapshot;
 
 pub use advisor::{retention_score, PolicyAdvisor, WorkloadStats};
 pub use arena::{Arena, SlotId};
@@ -44,4 +43,3 @@ pub use cracked::CrackedArray;
 pub use index::{BoundaryKey, CrackerIndex, SizeEstimate};
 pub use kernel::{active_kernel, CrackKernel};
 pub use policy::{CrackPolicy, Span};
-pub use snapshot::{converged_piece_cap, ColumnSnapshot, PieceSnap, SnapSpan, SnapshotBuilder};

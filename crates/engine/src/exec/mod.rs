@@ -26,13 +26,17 @@ pub mod combine;
 pub mod path;
 pub mod service;
 pub mod shard;
-pub mod snapshot;
 
 pub use batch::BatchRunner;
 pub use path::{AccessPath, RestrictCtx, RowSet};
 pub use service::{Client, Service, ServiceConfig, ServiceError};
 pub use shard::ShardedEngine;
-pub use snapshot::{EngineSnapshot, SnapPlan};
+
+/// Kept only for the benchmark harness, which still names it in its
+/// [`Engine::snapshot`](crate::query::Engine::snapshot) override. The
+/// enum has no variants, so no value of it can exist.
+#[derive(Debug)]
+pub enum EngineSnapshot {}
 
 use crate::query::{AggAcc, JoinSide, QueryError, QueryOutput, SelectQuery};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
@@ -147,53 +151,6 @@ pub fn env_kernel() -> Result<CrackKernel, String> {
 /// `crackdb-cracking`, which every crack call funnels through).
 pub fn kernel_from_env() -> CrackKernel {
     env_kernel().unwrap_or(CrackKernel::Block)
-}
-
-/// Parse a `CRACKDB_SNAPSHOT_READS`-style override value: unset or
-/// empty means the default (fast path on), otherwise `1 | true | on`
-/// enable and `0 | false | off` disable the lock-free snapshot read
-/// path in [`service::Service`]. Like [`threads_override`], separated
-/// from the env read for testability.
-fn snapshot_reads_override(value: Option<&str>) -> Result<bool, String> {
-    match value.map(str::trim) {
-        None | Some("") => Ok(true),
-        Some(v) => match v.to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" => Ok(true),
-            "0" | "false" | "off" => Ok(false),
-            _ => Err(format!(
-                "CRACKDB_SNAPSHOT_READS={v:?} is not a snapshot-reads toggle \
-                 (expected 1 | true | on | 0 | false | off)"
-            )),
-        },
-    }
-}
-
-/// Validate the `CRACKDB_SNAPSHOT_READS` environment toggle, parsed
-/// once per process — the strict entry point [`ServiceConfig`]
-/// validation and the env-validity test CI relies on call, exactly as
-/// [`env_policy`] / [`env_kernel`] are for their variables: a typo in
-/// the CI snapshot-reads matrix must fail loudly, not silently re-test
-/// the default while reporting green.
-pub fn env_snapshot_reads() -> Result<bool, String> {
-    static SNAPSHOT: OnceLock<Result<bool, String>> = OnceLock::new();
-    SNAPSHOT
-        .get_or_init(|| snapshot_reads_override(registry_var("CRACKDB_SNAPSHOT_READS").as_deref()))
-        .clone()
-}
-
-/// The snapshot-reads default [`ServiceConfig`] uses: the validated
-/// `CRACKDB_SNAPSHOT_READS` selection, falling back to enabled with
-/// one warning on an invalid value (non-fatal for library embedders;
-/// [`service::Service::with_config`] reports the strict error).
-pub fn snapshot_reads_from_env() -> bool {
-    static WARNED: OnceLock<()> = OnceLock::new();
-    match env_snapshot_reads() {
-        Ok(v) => v,
-        Err(msg) => {
-            WARNED.get_or_init(|| eprintln!("warning: {msg}; snapshot reads stay enabled"));
-            true
-        }
-    }
 }
 
 /// Order predicates by the path's selectivity estimates: ascending
@@ -741,36 +698,6 @@ mod tests {
                 assert_eq!(o, &outs[0], "answers must be ordering-invariant");
             }
         }
-    }
-
-    #[test]
-    fn snapshot_reads_override_parses_strictly() {
-        assert_eq!(snapshot_reads_override(None), Ok(true));
-        assert_eq!(snapshot_reads_override(Some("")), Ok(true));
-        assert_eq!(snapshot_reads_override(Some("1")), Ok(true));
-        assert_eq!(snapshot_reads_override(Some("ON")), Ok(true));
-        assert_eq!(snapshot_reads_override(Some("true")), Ok(true));
-        assert_eq!(snapshot_reads_override(Some("0")), Ok(false));
-        assert_eq!(snapshot_reads_override(Some("off")), Ok(false));
-        assert_eq!(snapshot_reads_override(Some(" false ")), Ok(false));
-        let err = snapshot_reads_override(Some("maybe")).unwrap_err();
-        assert!(err.contains("maybe"), "error names the bad value");
-        assert!(err.contains("on"), "error lists the forms");
-    }
-
-    /// The CI snapshot-reads matrix exports `CRACKDB_SNAPSHOT_READS`
-    /// for entire test runs; a typo there must fail loudly here instead
-    /// of the lenient default silently re-testing the fast path while a
-    /// green "forced off" job reports coverage it never ran.
-    #[test]
-    fn env_snapshot_reads_is_valid() {
-        let v = env_snapshot_reads()
-            .expect("CRACKDB_SNAPSHOT_READS must be unset or a valid on/off toggle");
-        assert_eq!(
-            snapshot_reads_from_env(),
-            v,
-            "lenient and strict reads agree"
-        );
     }
 
     #[test]

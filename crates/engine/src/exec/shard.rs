@@ -52,7 +52,7 @@
 //! under that policy. Stochastic seeds may be shared across shards —
 //! each shard's pivot choice depends only on its own array state.
 
-use crate::query::{AggAcc, Engine, JoinQuery, JoinSide, QueryOutput, SelectQuery, Timings};
+use crate::query::{AggAcc, Arity, Engine, JoinQuery, JoinSide, QueryOutput, SelectQuery, Timings};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::parallel::PartialAgg;
 use crackdb_columnstore::shard::{partition_table, ShardCuts};
@@ -444,6 +444,10 @@ impl<E: Engine + Send> Engine for ShardedEngine<E> {
     fn delete(&mut self, key: RowId) {
         let (s, local) = self.locate(key);
         self.shards[s].delete(local);
+    }
+
+    fn arity(&self) -> Option<Arity> {
+        self.shards.first().and_then(E::arity)
     }
 
     fn aux_tuples(&self) -> usize {

@@ -90,7 +90,7 @@ pub use partial_engine::PartialEngine;
 pub use plain::PlainEngine;
 pub use presorted::PresortedEngine;
 pub use query::{
-    AggAcc, Engine, JoinQuery, JoinSide, QueryError, QueryOutput, SelectQuery, Timings,
+    AggAcc, Arity, Engine, JoinQuery, JoinSide, QueryError, QueryOutput, SelectQuery, Timings,
 };
 pub use selcrack::SelCrackEngine;
 pub use sideways::SidewaysEngine;

@@ -6,7 +6,9 @@
 //! chunk-wise selection results.
 
 use crate::exec::{self, AccessPath, RestrictCtx, RowSet};
-use crate::query::{Engine, JoinQuery, JoinSide, QueryError, QueryOutput, SelectQuery, Timings};
+use crate::query::{
+    Arity, Engine, JoinQuery, JoinSide, QueryError, QueryOutput, SelectQuery, Timings,
+};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::{cracker_join, PartialStore};
@@ -289,6 +291,10 @@ impl Engine for PartialEngine {
 
     fn delete(&mut self, key: RowId) {
         self.store.stage_delete(&self.base, key);
+    }
+
+    fn arity(&self) -> Option<Arity> {
+        Some(Arity::of(&self.base, self.second.as_ref()))
     }
 
     fn aux_tuples(&self) -> usize {

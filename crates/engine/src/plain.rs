@@ -2,7 +2,7 @@
 //! order-preserving results, positional in-order tuple reconstruction.
 
 use crate::exec::{self, combine, AccessPath, RestrictCtx, RowSet};
-use crate::query::{Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings};
+use crate::query::{Arity, Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::join::hash_join;
 use crackdb_columnstore::ops::parallel::{self, PartialAgg};
@@ -196,6 +196,10 @@ impl Engine for PlainEngine {
 
     fn delete(&mut self, key: RowId) {
         self.tombstones.insert(key);
+    }
+
+    fn arity(&self) -> Option<Arity> {
+        Some(Arity::of(&self.base, self.second.as_ref()))
     }
 }
 

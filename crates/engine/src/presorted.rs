@@ -3,7 +3,7 @@
 //! slice-read reconstructions — and a heavy, measured preparation step.
 
 use crate::exec::{self, combine, AccessPath, RestrictCtx, RowSet};
-use crate::query::{Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings};
+use crate::query::{Arity, Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::join::hash_join;
 use crackdb_columnstore::ops::parallel::{self, PartialAgg};
@@ -307,6 +307,10 @@ impl Engine for PresortedEngine {
                 copy.delete_key(key);
             }
         }
+    }
+
+    fn arity(&self) -> Option<Arity> {
+        Some(Arity::of(&self.base, self.second.as_ref()))
     }
 
     fn aux_tuples(&self) -> usize {

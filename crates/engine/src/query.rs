@@ -1,6 +1,7 @@
 //! The query shapes of the paper's experiments, and the common executor
 //! interface every physical design implements.
 
+use crackdb_columnstore::column::Table;
 use crackdb_columnstore::types::{AggFunc, RangePred, RowId, Val};
 use std::fmt;
 use std::time::Duration;
@@ -118,6 +119,28 @@ pub struct QueryOutput {
     pub timings: Timings,
 }
 
+/// Column counts of an engine's tables: what [`Engine::arity`] reports
+/// so the query service can reject malformed requests before a shard
+/// worker ever sees them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Arity {
+    /// Columns of the primary table.
+    pub primary: usize,
+    /// Columns of the second (join) table; `None` when the engine was
+    /// built without one.
+    pub second: Option<usize>,
+}
+
+impl Arity {
+    /// The arity of a primary table and an optional second table.
+    pub(crate) fn of(base: &Table, second: Option<&Table>) -> Self {
+        Arity {
+            primary: base.num_columns(),
+            second: second.map(Table::num_columns),
+        }
+    }
+}
+
 /// The common executor interface: one implementation per physical design
 /// (plain column-store, presorted, selection cracking, sideways cracking,
 /// partial sideways cracking).
@@ -144,6 +167,13 @@ pub trait Engine {
     /// Delete the tuple with base key `key` from the primary table.
     fn delete(&mut self, key: RowId);
 
+    /// Column counts of the engine's tables, or `None` when the engine
+    /// does not report them (the service then forwards requests
+    /// unchecked).
+    fn arity(&self) -> Option<Arity> {
+        None
+    }
+
     /// Auxiliary storage used (tuples), for storage-restriction plots.
     fn aux_tuples(&self) -> usize {
         0
@@ -156,14 +186,10 @@ pub trait Engine {
         0
     }
 
-    /// Publishable picture of the engine's converged state for the
-    /// lock-free read path (see
-    /// [`EngineSnapshot`](crate::exec::snapshot::EngineSnapshot)).
-    /// Engines without converged-piece tracking return `None` — their
-    /// reads always take the sequenced worker hop. Cheap when nothing
-    /// changed since the last call (engines fingerprint their state
-    /// and hand back the cached `Arc`).
-    fn snapshot(&mut self) -> Option<std::sync::Arc<crate::exec::snapshot::EngineSnapshot>> {
+    /// Kept only for the benchmark harness, whose tracing wrapper
+    /// overrides it; the service never calls it and every engine
+    /// returns `None` (see [`EngineSnapshot`](crate::exec::EngineSnapshot)).
+    fn snapshot(&mut self) -> Option<std::sync::Arc<crate::exec::EngineSnapshot>> {
         None
     }
 

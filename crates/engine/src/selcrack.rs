@@ -2,42 +2,15 @@
 //! selections via cracker columns — but unordered selection results, so
 //! tuple reconstruction random-accesses the full base columns.
 
-use crate::exec::snapshot::EngineSnapshot;
 use crate::exec::{self, combine, AccessPath, RestrictCtx, RowSet};
-use crate::query::{Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings};
+use crate::query::{Arity, Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::join::hash_join;
 use crackdb_columnstore::ops::parallel::{self, PartialAgg};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
-use crackdb_cracking::{ColumnSnapshot, CrackPolicy, CrackerColumn, SnapshotBuilder};
+use crackdb_cracking::{CrackPolicy, CrackerColumn};
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
-
-/// Per-column change fingerprint: `(attr, CrackerColumn::fingerprint)`
-/// pairs in attribute order. Equal fingerprints (plus an unchanged base
-/// row count) mean the previously built snapshot is still current.
-type EngineFingerprint = Vec<(usize, (usize, usize, usize, usize, u64))>;
-
-/// Snapshot-publication state: the incremental builders, the frozen
-/// base, the appended-row overlay, and the cached current snapshot
-/// with the fingerprint it was built at.
-struct SnapState {
-    builders: HashMap<usize, SnapshotBuilder<RowId>>,
-    /// The base table cloned at the first [`Engine::snapshot`] call.
-    /// Sound because this engine never mutates base rows in place —
-    /// inserts append, deletes ripple through the cracker columns.
-    frozen: Arc<Table>,
-    frozen_rows: usize,
-    /// Rows appended since the freeze, in key order.
-    appended: Vec<Vec<Val>>,
-    /// Shared copy of `appended` handed to snapshots; re-made only
-    /// when the overlay actually grew.
-    appended_arc: Arc<Vec<Vec<Val>>>,
-    fingerprint: EngineFingerprint,
-    rows_seen: usize,
-    current: Arc<EngineSnapshot>,
-}
 
 /// Selection-cracking executor.
 pub struct SelCrackEngine {
@@ -54,8 +27,6 @@ pub struct SelCrackEngine {
     /// ("all systems evaluate queries starting from the most selective
     /// predicate", §3.6 Exp4).
     domain: (Val, Val),
-    /// Lazily initialized snapshot-publication state.
-    snap: Option<SnapState>,
 }
 
 impl SelCrackEngine {
@@ -75,7 +46,6 @@ impl SelCrackEngine {
             policy,
             overrides: HashMap::new(),
             domain,
-            snap: None,
         }
     }
 
@@ -373,85 +343,16 @@ impl Engine for SelCrackEngine {
         }
     }
 
+    fn arity(&self) -> Option<Arity> {
+        Some(Arity::of(&self.base, self.second.as_ref()))
+    }
+
     fn aux_tuples(&self) -> usize {
         self.crackers.values().map(|c| c.len()).sum()
     }
 
     fn policy_switches(&self) -> u64 {
         SelCrackEngine::policy_switches(self)
-    }
-
-    /// Publish the converged-piece snapshot: per-attribute catalogs
-    /// built incrementally (untouched pieces share their previous
-    /// `Arc`s), gated by a fingerprint so an unchanged engine hands
-    /// back the cached snapshot without allocating.
-    fn snapshot(&mut self) -> Option<Arc<EngineSnapshot>> {
-        let mut fp: EngineFingerprint = self
-            .crackers
-            .iter()
-            .filter(|((second, _), _)| !second)
-            .map(|(&(_, attr), c)| (attr, c.fingerprint()))
-            .collect();
-        fp.sort_unstable_by_key(|&(attr, _)| attr);
-        let rows = self.base.num_rows();
-        if let Some(state) = &self.snap {
-            if state.fingerprint == fp && state.rows_seen == rows {
-                return Some(state.current.clone());
-            }
-        }
-        let (frozen, frozen_rows, mut appended, mut appended_arc, mut builders) =
-            match self.snap.take() {
-                Some(s) => (
-                    s.frozen,
-                    s.frozen_rows,
-                    s.appended,
-                    s.appended_arc,
-                    s.builders,
-                ),
-                None => (
-                    Arc::new(self.base.clone()),
-                    rows,
-                    Vec::new(),
-                    Arc::new(Vec::new()),
-                    HashMap::new(),
-                ),
-            };
-        // Sync the overlay with base rows appended since the freeze.
-        if frozen_rows + appended.len() < rows {
-            for k in (frozen_rows + appended.len())..rows {
-                appended.push(
-                    (0..self.base.num_columns())
-                        .map(|c| self.base.column(c).get(k as RowId))
-                        .collect(),
-                );
-            }
-            appended_arc = Arc::new(appended.clone());
-        }
-        let mut cols: Vec<Option<Arc<ColumnSnapshot<RowId>>>> =
-            (0..self.base.num_columns()).map(|_| None).collect();
-        for (&(second, attr), cracker) in &self.crackers {
-            if second || attr >= cols.len() {
-                continue;
-            }
-            cols[attr] = Some(cracker.snapshot(builders.entry(attr).or_default()));
-        }
-        let current = Arc::new(EngineSnapshot::new(
-            cols,
-            frozen.clone(),
-            frozen_rows,
-            appended_arc.clone(),
-        ));
-        self.snap = Some(SnapState {
-            builders,
-            frozen,
-            frozen_rows,
-            appended,
-            appended_arc,
-            fingerprint: fp,
-            rows_seen: rows,
-            current: current.clone(),
-        });
-        Some(current)
     }
 }
 

@@ -1,7 +1,7 @@
 //! The paper's system: sideways cracking with full maps.
 
 use crate::exec::{self, AccessPath, RestrictCtx, RowSet};
-use crate::query::{Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings};
+use crate::query::{Arity, Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::join::hash_join;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
@@ -352,6 +352,10 @@ impl Engine for SidewaysEngine {
     fn delete(&mut self, key: RowId) {
         self.store.stage_delete(&self.base, key);
         self.tombstones.insert(key);
+    }
+
+    fn arity(&self) -> Option<Arity> {
+        Some(Arity::of(&self.base, self.second.as_ref()))
     }
 
     fn aux_tuples(&self) -> usize {

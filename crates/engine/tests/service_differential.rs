@@ -25,8 +25,7 @@
 use crackdb_columnstore::types::{AggFunc, RangePred, RowId, Val};
 use crackdb_engine::{
     Client, CrackPolicy, Engine, JoinQuery, JoinSide, PartialEngine, PlainEngine, PresortedEngine,
-    QueryOutput, SelCrackEngine, SelectQuery, Service, ServiceConfig, ShardedEngine,
-    SidewaysEngine,
+    QueryOutput, SelCrackEngine, SelectQuery, Service, ServiceError, ShardedEngine, SidewaysEngine,
 };
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use crackdb_workloads::random_table;
@@ -164,38 +163,47 @@ fn check_service<E: Engine + Send + 'static>(
                 .collect()
         });
         svc.shutdown();
+        let ctx = format!("{name}, {shards} shards");
+        replay_serially(&ctx, &mut merged, &mut make_serial(), base_rows);
+    }
+}
 
-        // The committed sequence numbers form a gapless total order.
-        merged.sort_by_key(|(seq, _)| *seq);
-        for (i, (seq, _)) in merged.iter().enumerate() {
-            assert_eq!(
-                *seq, i as u64,
-                "{name}, {shards} shards: sequence numbers are a gapless total order"
-            );
-        }
-
-        // Serial replay in commit order on an unsharded engine.
-        let mut serial = make_serial();
-        let mut inserts = 0usize;
-        for (seq, op) in &merged {
-            let ctx = format!("{name}, {shards} shards, seq {seq}");
-            match op {
-                LoggedOp::Insert { row, key } => {
-                    assert_eq!(
-                        *key as usize,
-                        base_rows + inserts,
-                        "{ctx}: the service-assigned key matches the serial key space"
-                    );
-                    inserts += 1;
-                    serial.insert(row);
-                }
-                LoggedOp::Delete { key } => serial.delete(*key),
-                LoggedOp::Select { q, out } => {
-                    let want = serial.select(q);
-                    assert_eq!(out.rows, want.rows, "{ctx}: rows");
-                    assert_eq!(out.aggs, want.aggs, "{ctx}: aggregates");
-                    assert_projs_match(&out.proj_values, &want.proj_values, &ctx);
-                }
+/// Check that the committed sequence numbers form a gapless total
+/// order, then replay the log in commit order on the unsharded `serial`
+/// engine: every select must match bit for bit and every insert must
+/// have been given the key the serial engine hands out.
+fn replay_serially<E: Engine>(
+    ctx: &str,
+    merged: &mut [(u64, LoggedOp)],
+    serial: &mut E,
+    base_rows: usize,
+) {
+    merged.sort_by_key(|(seq, _)| *seq);
+    for (i, (seq, _)) in merged.iter().enumerate() {
+        assert_eq!(
+            *seq, i as u64,
+            "{ctx}: sequence numbers are a gapless total order"
+        );
+    }
+    let mut inserts = 0usize;
+    for (seq, op) in merged.iter() {
+        let ctx = format!("{ctx}, seq {seq}");
+        match op {
+            LoggedOp::Insert { row, key } => {
+                assert_eq!(
+                    *key as usize,
+                    base_rows + inserts,
+                    "{ctx}: the service-assigned key matches the serial key space"
+                );
+                inserts += 1;
+                serial.insert(row);
+            }
+            LoggedOp::Delete { key } => serial.delete(*key),
+            LoggedOp::Select { q, out } => {
+                let want = serial.select(q);
+                assert_eq!(out.rows, want.rows, "{ctx}: rows");
+                assert_eq!(out.aggs, want.aggs, "{ctx}: aggregates");
+                assert_projs_match(&out.proj_values, &want.proj_values, &ctx);
             }
         }
     }
@@ -294,30 +302,26 @@ fn concurrent_partial_matches_serial_replay() {
     }
 }
 
-/// The snapshot-read stress: a read-heavy concurrent mix over warmed
-/// (converged) selection-cracking shards, with the lock-free fast path
-/// explicitly forced on or off. The linearizability bar is identical
-/// either way — gapless committed order, bit-for-bit serial replay —
-/// and the snapshot-hit counter proves the fast path actually served
-/// reads (or stayed completely cold when disabled).
-fn check_snapshot_service(snapshot_reads: bool) {
+/// The read-heavy stress: a 95/5 concurrent read/write mix over warmed
+/// (converged) selection-cracking shards — the workload where reads
+/// contend hardest for each shard's sequenced queue. The bar is the
+/// service's linearizability contract: gapless committed order and
+/// bit-for-bit serial replay.
+#[test]
+fn read_heavy_matches_serial_replay() {
     const ROWS: usize = 4096;
     const COLS: usize = 3;
     const STRESS_OPS: usize = 40;
     let t = random_table(COLS, ROWS, DOMAIN.1, 209);
-    for shards in SHARD_COUNTS {
+    for shards in [1, 2] {
         let engine = ShardedEngine::build(t.clone(), shards, |_, part| {
             SelCrackEngine::with_policy(part, DOMAIN, CrackPolicy::Standard)
         });
-        let config = ServiceConfig {
-            snapshot_reads,
-            ..ServiceConfig::default()
-        };
-        let svc = Service::with_config(engine, config).expect("service starts");
+        let svc = Service::start(engine).expect("service starts");
 
         // Warm-up from one client: two sweeps crack every shard's
-        // catalog into converged pieces, and the second sweep's reads
-        // can resolve without reorganizing anything — these are
+        // column into converged pieces, and the second sweep's reads
+        // find them without reorganizing anything — these are
         // sequenced operations like any other, so they join the log.
         let mut merged: Vec<(u64, LoggedOp)> = Vec::new();
         let warm = svc.client();
@@ -332,7 +336,8 @@ fn check_snapshot_service(snapshot_reads: bool) {
             }
         }
 
-        // Read-heavy concurrent phase: ~90% selects, 10% writes.
+        // Read-heavy concurrent phase: every 20th call is a write (an
+        // insert, then a delete of one of the client's own rows).
         merged.extend(std::thread::scope(|s| {
             let handles: Vec<_> = (0..CLIENTS)
                 .map(|c| {
@@ -342,7 +347,7 @@ fn check_snapshot_service(snapshot_reads: bool) {
                         let mut log = Vec::with_capacity(STRESS_OPS);
                         let mut own_keys: Vec<RowId> = Vec::new();
                         for i in 0..STRESS_OPS {
-                            if i % 10 == 0 {
+                            if i % 20 == 0 && own_keys.is_empty() {
                                 let row: Vec<Val> =
                                     (0..COLS).map(|_| rng.gen_range(1..=DOMAIN.1)).collect();
                                 let w = client.insert(&row).expect("insert admitted");
@@ -354,7 +359,7 @@ fn check_snapshot_service(snapshot_reads: bool) {
                                         key: *own_keys.last().unwrap(),
                                     },
                                 ));
-                            } else if i % 10 == 5 && !own_keys.is_empty() {
+                            } else if i % 20 == 0 {
                                 let key = own_keys.swap_remove(rng.gen_range(0..own_keys.len()));
                                 let w = client.delete(key).expect("delete admitted");
                                 log.push((w.seq, LoggedOp::Delete { key }));
@@ -374,58 +379,107 @@ fn check_snapshot_service(snapshot_reads: bool) {
                 .collect::<Vec<_>>()
         }));
 
-        let hits = svc.snapshot_hits();
-        if snapshot_reads {
-            assert!(
-                hits > 0,
-                "{shards} shards: converged warm reads must use the fast path"
-            );
-        } else {
-            assert_eq!(
-                hits, 0,
-                "{shards} shards: disabled fast path must stay cold"
-            );
-        }
         svc.shutdown();
-
-        merged.sort_by_key(|(seq, _)| *seq);
-        for (i, (seq, _)) in merged.iter().enumerate() {
-            assert_eq!(
-                *seq, i as u64,
-                "{shards} shards: committed order must be gapless even when \
-                 snapshot reads commit without enqueueing work"
-            );
-        }
         let mut serial = SelCrackEngine::with_policy(t.clone(), DOMAIN, CrackPolicy::Standard);
-        let mut inserts = 0usize;
-        for (seq, op) in &merged {
-            let ctx = format!("snapshot={snapshot_reads}, {shards} shards, seq {seq}");
-            match op {
-                LoggedOp::Insert { row, key } => {
-                    assert_eq!(*key as usize, ROWS + inserts, "{ctx}: assigned key");
-                    inserts += 1;
-                    serial.insert(row);
-                }
-                LoggedOp::Delete { key } => serial.delete(*key),
-                LoggedOp::Select { q, out } => {
-                    let want = serial.select(q);
-                    assert_eq!(out.rows, want.rows, "{ctx}: rows");
-                    assert_eq!(out.aggs, want.aggs, "{ctx}: aggregates");
-                    assert_projs_match(&out.proj_values, &want.proj_values, &ctx);
-                }
-            }
-        }
+        let ctx = format!("read-heavy, {shards} shards");
+        replay_serially(&ctx, &mut merged, &mut serial, ROWS);
     }
 }
 
+/// Malformed requests — an insert of the wrong arity, attributes past
+/// either table's columns, a join on a service without a second table —
+/// get a typed `Invalid` error before they are sequenced. No worker
+/// sees them, so after each one the same service still answers, and
+/// the committed order stays gapless and replays serially.
 #[test]
-fn snapshot_reads_on_read_heavy_matches_serial_replay() {
-    check_snapshot_service(true);
-}
+fn bad_requests_are_rejected_and_the_service_keeps_serving() {
+    const ROWS: usize = 300;
+    let left = random_table(3, ROWS, DOMAIN.1, 210);
+    let right = random_table(2, 120, DOMAIN.1, 211);
+    let engine = ShardedEngine::build_with_second(left.clone(), right.clone(), 2, |_, p, s| {
+        SelCrackEngine::with_second(p, s, DOMAIN)
+    });
+    let svc = Service::start(engine).expect("service starts");
+    let client = svc.client();
+    let join = |left_attr: usize, right_attr: usize| JoinQuery {
+        left: JoinSide {
+            preds: vec![(1, RangePred::open(0, 500))],
+            join_attr: left_attr,
+            aggs: vec![(0, AggFunc::Count)],
+        },
+        right: JoinSide {
+            preds: vec![],
+            join_attr: right_attr,
+            aggs: vec![(1, AggFunc::Max)],
+        },
+    };
+    let good = SelectQuery::aggregate(
+        vec![(0, RangePred::open(100, 600))],
+        vec![(1, AggFunc::Count), (2, AggFunc::Sum)],
+    );
+    enum Bad {
+        Insert(Vec<Val>),
+        Select(SelectQuery),
+        Join(JoinQuery),
+    }
+    let bad_requests = [
+        ("short insert", Bad::Insert(vec![1, 2])),
+        ("long insert", Bad::Insert(vec![1, 2, 3, 4])),
+        (
+            "select predicate",
+            Bad::Select(SelectQuery::aggregate(vec![(7, RangePred::all())], vec![])),
+        ),
+        (
+            "select aggregate",
+            Bad::Select(SelectQuery::aggregate(vec![], vec![(3, AggFunc::Sum)])),
+        ),
+        (
+            "select projection",
+            Bad::Select(SelectQuery::project(vec![], vec![5])),
+        ),
+        ("join left", Bad::Join(join(9, 0))),
+        ("join right", Bad::Join(join(0, 2))),
+    ];
+    let mut merged: Vec<(u64, LoggedOp)> = Vec::new();
+    for (what, bad) in &bad_requests {
+        let result = match bad {
+            Bad::Insert(row) => client.insert(row).map(|w| w.seq),
+            Bad::Select(q) => client.select(q).map(|r| r.seq),
+            Bad::Join(q) => client.join(q).map(|r| r.seq),
+        };
+        match result {
+            Err(ServiceError::Invalid(msg)) => assert!(!msg.is_empty(), "{what}"),
+            other => panic!("{what}: expected Invalid, got {other:?}"),
+        }
+        let r = client.select(&good).expect("service still serves");
+        merged.push((
+            r.seq,
+            LoggedOp::Select {
+                q: good.clone(),
+                out: r.output,
+            },
+        ));
+    }
+    let r = client.join(&join(0, 0)).expect("a valid join still works");
+    let want = SelCrackEngine::with_second(left.clone(), right, DOMAIN).join(&join(0, 0));
+    assert_eq!(r.output.rows, want.rows, "join rows");
+    assert_eq!(r.output.aggs, want.aggs, "join aggregates");
+    svc.shutdown();
+    let mut serial = SelCrackEngine::new(left.clone(), DOMAIN);
+    replay_serially("bad requests", &mut merged, &mut serial, ROWS);
 
-#[test]
-fn snapshot_reads_off_read_heavy_matches_serial_replay() {
-    check_snapshot_service(false);
+    // A join on a service built without a second table.
+    let svc = Service::start(ShardedEngine::build(left, 2, |_, p| {
+        SelCrackEngine::new(p, DOMAIN)
+    }))
+    .expect("service starts");
+    let client = svc.client();
+    assert!(matches!(
+        client.join(&join(0, 0)),
+        Err(ServiceError::Invalid(_))
+    ));
+    assert_eq!(client.select(&good).expect("still serves").seq, 0);
+    svc.shutdown();
 }
 
 /// §4 storage pressure through the service: budgeted partial maps must

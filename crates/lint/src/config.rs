@@ -3,8 +3,8 @@
 //! `lint/atomics.allow` — one justified atomic-ordering use per line:
 //!
 //! ```text
-//! # path                          ordering  why
-//! crates/core/src/epoch.rs        SeqCst    the module-level total-order argument requires it
+//! # path                                  ordering  why
+//! crates/columnstore/src/ops/parallel.rs  Relaxed   advisory hint; staleness never changes results
 //! ```
 //!
 //! `lint/panics.baseline` — the per-crate panic-site ratchet:
