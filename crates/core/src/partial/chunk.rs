@@ -96,10 +96,10 @@ impl Chunk {
     pub fn max_piece(&self) -> usize {
         let mut prev = 0;
         let mut largest = 0;
-        for (_, pos) in self.index.boundaries() {
+        self.index.for_each_boundary(|_, pos| {
             largest = largest.max(pos - prev);
             prev = pos;
-        }
+        });
         largest.max(self.len() - prev)
     }
 

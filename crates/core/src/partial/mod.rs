@@ -10,8 +10,16 @@
 //!   cracks, the set of maps referencing the area, and lazily deleted
 //!   index shells of dropped chunks;
 //! * the partial maps themselves: one [`Chunk`] per (attribute, area)
-//!   pair, created on demand, dropped under storage pressure (LFU),
-//!   recreated when needed again.
+//!   pair, created on demand, dropped under storage pressure, recreated
+//!   when needed again.
+//!
+//! **Storage manager (§4.1):** resident chunks sit in an ordered index
+//! keyed by `(retention score, attr, area)` next to a running tuple
+//! count, so the budget check is O(1) and each eviction takes the
+//! coldest unpinned chunk in O(log chunks). Areas are found through the
+//! chunk map's cracker index in O(log boundaries) each, so a query's
+//! bookkeeping grows with the areas it touches, not with everything the
+//! set has cracked so far.
 //!
 //! Queries proceed **chunk-wise** (§4.1): each operator loads, creates,
 //! aligns, cracks and scans one chunk at a time, and alignment is
@@ -42,9 +50,10 @@ use crackdb_columnstore::column::Table;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_cracking::index::pred_keys;
 use crackdb_cracking::{
-    retention_score, BoundaryKey, CrackPolicy, CrackedArray, CrackerIndex, PolicyAdvisor,
+    retention_score, BoundKind, BoundaryKey, CrackPolicy, CrackedArray, CrackerIndex, PolicyAdvisor,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::Instant;
 
 /// Identity of an area: its start boundary in the chunk map (`None` for
@@ -100,7 +109,8 @@ struct Resolver {
     cursor: usize,
 }
 
-/// Per-area metadata.
+/// Per-area metadata. Present only while the area is fetched (or holds
+/// merged updates): dropping an area's last chunk removes its entry.
 #[derive(Debug, Clone, Default)]
 struct AreaInfo {
     fetched: bool,
@@ -185,6 +195,13 @@ pub struct PartialSet {
     chunk_map: Option<CrackedArray<RowId>>,
     areas: HashMap<AreaId, AreaInfo>,
     maps: HashMap<usize, PartialMap>,
+    /// Resident chunks as `(retention score, attr, area)`, coldest
+    /// first: the storage manager's victim order. Only [`Self::install`]
+    /// and [`Self::uninstall`] touch `maps[..].chunks`, and they keep
+    /// this index and `used` in step with it.
+    resident: BTreeSet<(u64, usize, AreaId)>,
+    /// Tuples held by resident chunks.
+    used: usize,
     /// Inserted base keys not yet merged into any area.
     staged_inserts: Vec<RowId>,
     /// Deleted `(head value, key)` pairs not yet merged into any area.
@@ -224,6 +241,8 @@ impl PartialSet {
             chunk_map: None,
             areas: HashMap::new(),
             maps: HashMap::new(),
+            resident: BTreeSet::new(),
+            used: 0,
             staged_inserts: Vec::new(),
             staged_deletes: Vec::new(),
             budget: None,
@@ -272,14 +291,11 @@ impl PartialSet {
 
     /// Current chunk storage in tuples (the chunk map and the per-area
     /// resolvers are infrastructure, like a cracker column, and not
-    /// counted against the budget). Computed from live chunk lengths so
-    /// merged inserts and deletes are reflected exactly.
+    /// counted against the budget). A running total of resident chunk
+    /// lengths: chunks change length (merged inserts and deletes) only
+    /// while checked out, so it stays exact.
     pub fn usage(&self) -> usize {
-        self.maps
-            .values()
-            .flat_map(|m| m.chunks.values())
-            .map(Chunk::len)
-            .sum()
+        self.used
     }
 
     // ----- updates (§3.5) ---------------------------------------------
@@ -303,7 +319,58 @@ impl PartialSet {
 
     /// Number of materialized chunks across all maps.
     pub fn chunk_count(&self) -> usize {
-        self.maps.values().map(|m| m.chunks.len()).sum()
+        self.resident.len()
+    }
+
+    /// Resident chunks as `(retention score, attr, area)`, in the order
+    /// the storage manager evicts them when nothing is pinned.
+    pub fn eviction_order(&self) -> impl Iterator<Item = &(u64, usize, AreaId)> + '_ {
+        self.resident.iter()
+    }
+
+    /// The chunk the storage manager evicts next: the lowest
+    /// `(retention score, attr, area)` among resident chunks, skipping
+    /// the chunks of `pinned_attrs` in area `pinned_area`.
+    pub fn next_victim(
+        &self,
+        pinned_area: AreaId,
+        pinned_attrs: &[usize],
+    ) -> Option<(usize, AreaId)> {
+        self.resident
+            .iter()
+            .map(|&(_, attr, area)| (attr, area))
+            .find(|&(attr, area)| area != pinned_area || !pinned_attrs.contains(&attr))
+    }
+
+    /// A resident chunk's entry in the eviction index.
+    fn resident_key(attr: usize, area: AreaId, chunk: &Chunk) -> (u64, usize, AreaId) {
+        (
+            retention_score(chunk.accesses, chunk.last_access),
+            attr,
+            area,
+        )
+    }
+
+    /// Put a chunk into its map and into the eviction index.
+    fn install(&mut self, attr: usize, area: AreaId, chunk: Chunk) {
+        self.used += chunk.len();
+        self.resident.insert(Self::resident_key(attr, area, &chunk));
+        let prev = self
+            .maps
+            .entry(attr)
+            .or_default()
+            .chunks
+            .insert(area, chunk);
+        debug_assert!(prev.is_none(), "a chunk is installed at most once");
+    }
+
+    /// Take a chunk out of its map and out of the eviction index.
+    fn uninstall(&mut self, attr: usize, area: AreaId) -> Option<Chunk> {
+        let chunk = self.maps.get_mut(&attr)?.chunks.remove(&area)?;
+        self.used -= chunk.len();
+        self.resident
+            .remove(&Self::resident_key(attr, area, &chunk));
+        Some(chunk)
     }
 
     /// Read access to a partial map.
@@ -355,13 +422,7 @@ impl PartialSet {
             if cm.index().position_of(key).is_some() {
                 continue;
             }
-            let id: AreaId = cm
-                .index()
-                .boundaries()
-                .iter()
-                .rev()
-                .find(|(k, _)| *k < key)
-                .map(|(k, _)| *k);
+            let id: AreaId = cm.index().floor_strict(key).map(|(k, _)| k);
             let fetched = self.areas.get(&id).is_some_and(|a| a.fetched);
             if !fetched {
                 // INVARIANT: same — ensured by every public entry path.
@@ -380,42 +441,45 @@ impl PartialSet {
     /// an area with merged updates (fetched), or one a staged update's
     /// head value falls into — an inserted tuple may be the only content
     /// of an otherwise empty area, and skipping it would lose the merge.
+    ///
+    /// The walk starts at the area holding the lower cut point (the
+    /// greatest boundary strictly below it) and steps boundary by
+    /// boundary until an area starts at or past the upper cut point:
+    /// O(log n) per area visited.
     fn overlapping_areas(&self, base: &Table, pred: &RangePred) -> Vec<AreaRef> {
         let head_col = base.column(self.head_attr);
         // INVARIANT: ensure_chunk_map runs at every public entry point
         // before the internal helpers; field access keeps the borrow
         // disjoint from the sibling fields mutated below.
         let cm = self.chunk_map.as_ref().expect("chunk map ensured");
-        let bs = cm.index().boundaries();
+        let idx = cm.index();
         let n = cm.len();
         let (lo_k, hi_k) = pred_keys(pred);
         let mut out = Vec::new();
-        let mut start_key: AreaId = None;
-        let mut start_pos = 0usize;
-        for i in 0..=bs.len() {
-            let (end_key, end_pos) = if i < bs.len() {
-                (Some(bs[i].0), bs[i].1)
-            } else {
-                (None, n)
-            };
+        let mut start = lo_k.and_then(|l| idx.floor_strict(l));
+        loop {
+            let start_key: AreaId = start.map(|(k, _)| k);
             // Overlap test on cut-point order: area [start_key, end_key)
-            // vs region (lo_k, hi_k).
-            let below = match (end_key, lo_k) {
-                (Some(e), Some(l)) => e <= l,
-                _ => false,
-            };
-            let above = match (start_key, hi_k) {
-                (Some(s), Some(h)) => s >= h,
-                _ => false,
-            };
-            if !below && !above {
+            // vs region (lo_k, hi_k). Areas further right start later
+            // still, so the first area above the region ends the walk.
+            if let (Some(s), Some(h)) = (start_key, hi_k) {
+                if s >= h {
+                    break;
+                }
+            }
+            let end = Self::area_end(idx, start_key);
+            let end_key: Option<BoundaryKey> = end.map(|(k, _)| k);
+            // Only the area ending exactly at the lower cut point lies
+            // below the region.
+            let below = matches!((end_key, lo_k), (Some(e), Some(l)) if e <= l);
+            if !below {
                 let area = AreaRef {
                     id: start_key,
-                    start: start_pos,
-                    end: end_pos,
+                    start: start.map_or(0, |(_, p)| p),
+                    end: end.map_or(n, |(_, p)| p),
                     end_key,
                 };
-                let keep = end_pos > start_pos
+                let keep = area.end > area.start
                     || self.areas.get(&area.id).is_some_and(|a| a.fetched)
                     || self
                         .staged_inserts
@@ -429,10 +493,28 @@ impl PartialSet {
                     out.push(area);
                 }
             }
-            start_key = end_key;
-            start_pos = end_pos;
+            if end.is_none() {
+                break;
+            }
+            start = end;
         }
         out
+    }
+
+    /// The chunk-map boundary closing the area that starts at `start`
+    /// (`None` for the rightmost area).
+    fn area_end(idx: &CrackerIndex, start: AreaId) -> Option<(BoundaryKey, usize)> {
+        match start {
+            Some(s) => idx.ceil_strict(s),
+            None => {
+                // No key sorts below `LEAST`: the leftmost area ends at it
+                // when it is itself a boundary, else at its successor.
+                const LEAST: BoundaryKey = (Val::MIN, BoundKind::Lt);
+                idx.position_of(LEAST)
+                    .map(|p| (LEAST, p))
+                    .or_else(|| idx.ceil_strict(LEAST))
+            }
+        }
     }
 
     /// Does head value `v` fall inside `area`'s value range?
@@ -564,7 +646,8 @@ impl PartialSet {
     }
 
     /// Evict cold chunks until `extra` more tuples fit in the budget.
-    /// Chunks in `pinned` are untouchable.
+    /// The chunks of `pinned_attrs` in area `pinned_area` are
+    /// untouchable.
     ///
     /// Victim choice minimizes [`retention_score`]: recency plus a
     /// log-frequency grace, so a chunk the workload hammered keeps a
@@ -574,62 +657,47 @@ impl PartialSet {
     /// thrash; the recency-dominated score keeps the adaptation property
     /// §4.1 asks of the storage manager ("the system always keeps the
     /// chunks that are really necessary for the workload hot-set").
-    fn make_room(&mut self, extra: usize, pinned: &HashSet<(usize, AreaId)>) {
+    ///
+    /// The victim is the first unpinned entry of the ordered eviction
+    /// index; the (attr, area) identity breaks score ties, so eviction
+    /// (and every downstream answer) stays deterministic. Each eviction
+    /// costs O(log chunks) plus a skip over at most `pinned_attrs.len()`
+    /// pinned entries.
+    fn make_room(&mut self, extra: usize, pinned_area: AreaId, pinned_attrs: &[usize]) {
         let Some(budget) = self.budget else { return };
-        // One scan establishes the current usage; each eviction then
-        // subtracts the freed tuples, so the loop stays O(chunks) per
-        // eviction (the victim scan) instead of rescanning every chunk
-        // length per iteration.
-        let mut usage = self.usage();
-        while usage + extra > budget {
-            // The (attr, area) identity breaks score ties so the victim
-            // never depends on hash-map iteration order — eviction (and
-            // therefore every downstream answer) stays deterministic.
-            let victim = self
-                .maps
-                .iter()
-                .flat_map(|(&attr, m)| {
-                    m.chunks.iter().map(move |(&aid, c)| {
-                        ((attr, aid), retention_score(c.accesses, c.last_access))
-                    })
-                })
-                .filter(|(key, _)| !pinned.contains(key))
-                .min_by_key(|&((attr, aid), score)| (score, attr, aid))
-                .map(|(key, _)| key);
-            let Some((attr, aid)) = victim else { break };
-            usage = usage.saturating_sub(self.drop_chunk(attr, aid));
+        while self.used + extra > budget {
+            let Some((attr, area)) = self.next_victim(pinned_area, pinned_attrs) else {
+                break;
+            };
+            self.drop_chunk(attr, area);
         }
     }
 
     /// Drop one chunk, keeping its index as a lazily deleted shell; if it
     /// was the area's last chunk, the area reverts to unfetched and its
-    /// tape is removed (§4.1) — merged updates return to the staged
+    /// metadata is removed (§4.1) — merged updates return to the staged
     /// lists, so chunks recreated from the base later pick them up for
     /// free. Returns the tuples freed.
     pub fn drop_chunk(&mut self, tail_attr: usize, area_id: AreaId) -> usize {
-        let Some(map) = self.maps.get_mut(&tail_attr) else {
-            return 0;
-        };
-        let Some(chunk) = map.chunks.remove(&area_id) else {
+        let Some(chunk) = self.uninstall(tail_attr, area_id) else {
             return 0;
         };
         let freed = chunk.len();
         self.stats.chunks_dropped += 1;
-        let info = self.areas.entry(area_id).or_default();
-        info.refs.remove(&tail_attr);
-        if info.refs.is_empty() {
-            info.fetched = false;
-            info.shells.clear();
-            info.resolver = None;
-            for entry in info.tape.drain(..) {
-                match entry {
-                    AreaEntry::Insert(key) => self.staged_inserts.push(key),
-                    AreaEntry::Delete { val, key, .. } => self.staged_deletes.push((val, key)),
-                    AreaEntry::Crack(..) => {}
-                }
+        let Entry::Occupied(mut info) = self.areas.entry(area_id) else {
+            return freed;
+        };
+        info.get_mut().refs.remove(&tail_attr);
+        if !info.get().refs.is_empty() {
+            info.get_mut().shells.insert(tail_attr, chunk.into_shell());
+            return freed;
+        }
+        for entry in info.remove().tape {
+            match entry {
+                AreaEntry::Insert(key) => self.staged_inserts.push(key),
+                AreaEntry::Delete { val, key, .. } => self.staged_deletes.push((val, key)),
+                AreaEntry::Crack(..) => {}
             }
-        } else {
-            info.shells.insert(tail_attr, chunk.into_shell());
         }
         freed
     }
@@ -639,7 +707,7 @@ impl PartialSet {
     /// exceed the budget while its own chunks are pinned; it must never
     /// *leave* it exceeded.
     fn enforce_budget(&mut self) {
-        self.make_room(0, &HashSet::new());
+        self.make_room(0, None, &[]);
     }
 
     /// Deterministically rebuild the head column of a head-dropped chunk:
@@ -784,7 +852,6 @@ impl PartialSet {
         area: &AreaRef,
         attrs: &[usize],
     ) -> CheckedOutArea {
-        let pinned: HashSet<(usize, AreaId)> = attrs.iter().map(|&a| (a, area.id)).collect();
         for &attr in attrs {
             let present = self
                 .maps
@@ -793,13 +860,9 @@ impl PartialSet {
             if present {
                 continue;
             }
-            self.make_room(area.end - area.start, &pinned);
+            self.make_room(area.end - area.start, area.id, attrs);
             let chunk = self.fetch_chunk(base, attr, area);
-            self.maps
-                .entry(attr)
-                .or_default()
-                .chunks
-                .insert(area.id, chunk);
+            self.install(attr, area.id, chunk);
         }
         self.flush_staged_for_area(base, area);
         // The loop above materialized every chunk, so each
@@ -807,11 +870,7 @@ impl PartialSet {
         // panic-free without changing behaviour.
         let mut chunks: Vec<(usize, Chunk)> = Vec::with_capacity(attrs.len());
         for &attr in attrs {
-            if let Some(c) = self
-                .maps
-                .get_mut(&attr)
-                .and_then(|m| m.chunks.remove(&area.id))
-            {
+            if let Some(c) = self.uninstall(attr, area.id) {
                 chunks.push((attr, c));
             }
         }
@@ -861,7 +920,7 @@ impl PartialSet {
                     self.stats.heads_dropped += 1;
                 }
             }
-            self.maps.entry(attr).or_default().chunks.insert(area_id, c);
+            self.install(attr, area_id, c);
         }
     }
 

@@ -3,7 +3,7 @@
 
 use super::*;
 use crackdb_columnstore::column::{Column, Table};
-use crackdb_columnstore::types::{RangePred, Val};
+use crackdb_columnstore::types::{Bound, RangePred, Val};
 
 /// Deterministic pseudo-random table: `cols` columns, `n` rows, values in
 /// `[0, domain)`.
@@ -442,4 +442,191 @@ fn projection_equals_selection_attribute() {
     let sels = vec![(1usize, RangePred::open(10, 60))];
     let got = collect(&mut s, &t, &head, &sels, &[1]);
     assert_same(got, naive(&t, 0, &head, &sels, &[1]));
+}
+
+/// Linear congruential stream in `[0, m)` for the shape tests below.
+fn lcg(seed: u64) -> impl FnMut(i64) -> i64 {
+    let mut state = seed;
+    move |m| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) as i64).rem_euclid(m)
+    }
+}
+
+/// The walk `overlapping_areas` replaced: copy out every chunk-map
+/// boundary, visit every area in order and keep the overlapping ones.
+fn overlapping_areas_full_walk(s: &PartialSet, base: &Table, pred: &RangePred) -> Vec<AreaRef> {
+    let head_col = base.column(s.head_attr);
+    let cm = s.chunk_map.as_ref().unwrap();
+    let bs = cm.index().boundaries();
+    let n = cm.len();
+    let (lo_k, hi_k) = pred_keys(pred);
+    let mut out = Vec::new();
+    let mut start_key: AreaId = None;
+    let mut start_pos = 0usize;
+    for i in 0..=bs.len() {
+        let (end_key, end_pos) = if i < bs.len() {
+            (Some(bs[i].0), bs[i].1)
+        } else {
+            (None, n)
+        };
+        let below = matches!((end_key, lo_k), (Some(e), Some(l)) if e <= l);
+        let above = matches!((start_key, hi_k), (Some(st), Some(h)) if st >= h);
+        if !below && !above {
+            let area = AreaRef {
+                id: start_key,
+                start: start_pos,
+                end: end_pos,
+                end_key,
+            };
+            let keep = end_pos > start_pos
+                || s.areas.get(&area.id).is_some_and(|a| a.fetched)
+                || s.staged_inserts
+                    .iter()
+                    .any(|&k| PartialSet::area_contains(&area, head_col.get(k)))
+                || s.staged_deletes
+                    .iter()
+                    .any(|&(v, _)| PartialSet::area_contains(&area, v));
+            if keep {
+                out.push(area);
+            }
+        }
+        start_key = end_key;
+        start_pos = end_pos;
+    }
+    out
+}
+
+fn area_tuples(areas: &[AreaRef]) -> Vec<(AreaId, usize, usize, Option<BoundaryKey>)> {
+    areas
+        .iter()
+        .map(|a| (a.id, a.start, a.end, a.end_key))
+        .collect()
+}
+
+/// A random predicate over `[0, domain)`: closed, open, one-sided,
+/// a point or everything.
+fn random_pred(next: &mut impl FnMut(i64) -> i64, domain: i64) -> RangePred {
+    let v = next(domain + 2) - 1;
+    let w = next(domain / 2 + 1);
+    let bound = |v: Val, incl: bool| {
+        if incl {
+            Bound::inclusive(v)
+        } else {
+            Bound::exclusive(v)
+        }
+    };
+    match next(7) {
+        0 => RangePred::all(),
+        1 => RangePred::less(bound(v, next(2) == 0)),
+        2 => RangePred::greater(bound(v, next(2) == 0)),
+        3 => RangePred::point(v),
+        4 => RangePred::closed(v, v + w),
+        5 => RangePred::half_open(v, v + w),
+        _ => RangePred::open(v, v + w + 1),
+    }
+}
+
+#[test]
+fn overlapping_areas_match_full_walk() {
+    let mut zero_row_kept = 0;
+    for seed in 0..40u64 {
+        let mut next = lcg(seed * 7919 + 1);
+        // A sparse domain leaves value gaps: cracks inside a gap give
+        // zero-row areas.
+        let domain = 20 + next(60);
+        let n = 1 + next(80) as usize;
+        let mut t = table(3, n, domain, seed + 101);
+        let mut s = PartialSet::new(0);
+        if next(2) == 0 {
+            s.budget = Some(1 + next(n as i64) as usize);
+        }
+        s.ensure_chunk_map(&t);
+        for _ in 0..next(25) {
+            let p = random_pred(&mut next, domain);
+            match next(4) {
+                // Shape the chunk map only: the areas stay unfetched.
+                0 => s.crack_chunk_map_for(&p),
+                _ => {
+                    let proj = 1 + next(2) as usize;
+                    collect(&mut s, &t, &p, &[], &[proj]);
+                }
+            }
+        }
+        if next(3) == 0 {
+            // The least possible key as a boundary: `A >= Val::MIN`.
+            s.crack_chunk_map_for(&RangePred::greater(Bound::inclusive(Val::MIN)));
+        }
+        // Staged updates, some of them in zero-row areas.
+        for _ in 0..next(4) {
+            let v = next(domain + 2) - 1;
+            let k = t.append_row(&[v, v, v]);
+            s.stage_insert(k);
+        }
+        for _ in 0..next(4) {
+            let v = next(domain + 2) - 1;
+            s.stage_delete(v, next(n as i64) as RowId);
+        }
+        for _ in 0..30 {
+            let p = random_pred(&mut next, domain);
+            let areas = s.overlapping_areas(&t, &p);
+            zero_row_kept += areas.iter().filter(|a| a.start == a.end).count();
+            assert_eq!(
+                area_tuples(&areas),
+                area_tuples(&overlapping_areas_full_walk(&s, &t, &p)),
+                "seed {seed}, {p:?}"
+            );
+        }
+        let all = RangePred::all();
+        assert_eq!(
+            area_tuples(&s.overlapping_areas(&t, &all)),
+            area_tuples(&overlapping_areas_full_walk(&s, &t, &all)),
+        );
+    }
+    assert!(zero_row_kept > 0, "no zero-row area was ever visited");
+}
+
+#[test]
+fn index_floor_ceil_skip_lazily_deleted_boundaries() {
+    let mut next = lcg(17);
+    let head: Vec<Val> = (0..200).map(|_| next(100)).collect();
+    let tail = head.clone();
+    let mut c = Chunk::seed(head.clone(), tail.clone(), None);
+    for _ in 0..30 {
+        let lo = next(100);
+        c.crack_range(&RangePred::open(lo, lo + 1 + next(20)));
+    }
+    // Drop the chunk and recreate it over its shell: every node starts
+    // lazily deleted and only the re-cracked ones come back to life.
+    let shell = c.into_shell();
+    let mut c = Chunk::seed(head, tail, Some(shell));
+    for _ in 0..10 {
+        let lo = next(100);
+        c.crack_range(&RangePred::open(lo, lo + 1 + next(20)));
+    }
+    let idx = c.index();
+    assert!(
+        !idx.is_empty() && idx.total_nodes() > idx.len(),
+        "live and lazily deleted nodes mix"
+    );
+    let live = idx.boundaries();
+    for v in -1..=101 {
+        for kind in [BoundKind::Lt, BoundKind::Le] {
+            let key = (v, kind);
+            let floor = live.iter().rev().find(|(k, _)| *k < key).copied();
+            let ceil = live.iter().find(|(k, _)| *k > key).copied();
+            assert_eq!(idx.floor_strict(key), floor, "floor of {key:?}");
+            assert_eq!(idx.ceil_strict(key), ceil, "ceil of {key:?}");
+        }
+    }
+    // The allocation-free piece walk agrees with the copied boundaries.
+    let mut prev = 0;
+    let mut largest = 0;
+    for &(_, pos) in &live {
+        largest = largest.max(pos - prev);
+        prev = pos;
+    }
+    assert_eq!(c.max_piece(), largest.max(c.len() - prev));
 }

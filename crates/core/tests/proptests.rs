@@ -8,7 +8,9 @@
 
 use crackdb_columnstore::column::{Column, Table};
 use crackdb_columnstore::types::{RangePred, Val};
+use crackdb_core::partial::AreaId;
 use crackdb_core::{MapSet, PartialSet};
+use crackdb_cracking::{retention_score, CrackPolicy};
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashSet;
 
@@ -200,6 +202,137 @@ fn budgeted_partial_sets_match_never_evicted() {
             );
         }
     });
+}
+
+/// Resident chunks rebuilt from the maps as `(retention score, attr,
+/// area)`, sorted, plus the sum of their lengths.
+fn resident_from_maps(set: &PartialSet, attrs: &[usize]) -> (Vec<(u64, usize, AreaId)>, usize) {
+    let mut resident = Vec::new();
+    let mut tuples = 0;
+    for &attr in attrs {
+        for (&area, c) in set.map(attr).iter().flat_map(|m| &m.chunks) {
+            resident.push((retention_score(c.accesses, c.last_access), attr, area));
+            tuples += c.len();
+        }
+    }
+    resident.sort_unstable();
+    (resident, tuples)
+}
+
+/// The linear victim scan the ordered eviction index replaced: the
+/// minimum `(retention score, attr, area)` over every unpinned chunk.
+fn linear_victim(
+    resident: &[(u64, usize, AreaId)],
+    pinned_area: AreaId,
+    pinned_attrs: &[usize],
+) -> Option<(usize, AreaId)> {
+    resident
+        .iter()
+        .filter(|&&(_, attr, area)| area != pinned_area || !pinned_attrs.contains(&attr))
+        .min()
+        .map(|&(_, attr, area)| (attr, area))
+}
+
+/// The storage manager's ordered eviction index agrees with the linear
+/// scan it replaced. Under every static crack policy, with head
+/// dropping on and off and with inserts and deletes interleaved, after
+/// every query under a tiny budget: `usage()` is the sum of resident
+/// chunk lengths, the index equals one rebuilt from the maps, and the
+/// victim for any pin set is the linear scan's.
+#[test]
+fn budgeted_eviction_index_matches_linear_scan() {
+    const TAILS: [usize; 3] = [1, 2, 3];
+    let policies = [
+        CrackPolicy::Standard,
+        CrackPolicy::stochastic(),
+        CrackPolicy::CoarseGranular { min_piece: 16 },
+    ];
+    let (mut dropped, mut heads_dropped) = (0, 0);
+    cases(0xE71C7ED, |rng| {
+        let a = vec_of(rng, 0, 50, 8, 120);
+        let n = a.len();
+        let nq = rng.gen_range(4usize..20);
+        let budget = (n / rng.gen_range(2usize..6)).max(8);
+        let head_drop = rng.gen_range(1usize..=n);
+        for policy in policies {
+            for head_drop in [None, Some(head_drop)] {
+                let cols: Vec<Vec<Val>> = (0..4)
+                    .map(|c| {
+                        if c == 0 {
+                            a.clone()
+                        } else {
+                            (0..n as Val).map(|i| i * 13 + 1000 * c as Val).collect()
+                        }
+                    })
+                    .collect();
+                let mut t = table(cols);
+                let mut dead: HashSet<u32> = HashSet::new();
+                let mut set = PartialSet::with_policy(0, policy);
+                set.budget = Some(budget);
+                set.head_drop_threshold = head_drop;
+                for _ in 0..nq {
+                    if rng.gen_bool(0.3) {
+                        let v = rng.gen_range(0i64..50);
+                        let key = t.num_rows() as Val;
+                        let k =
+                            t.append_row(&[v, key * 13 + 1000, key * 13 + 2000, key * 13 + 3000]);
+                        set.stage_insert(k);
+                    }
+                    if rng.gen_bool(0.3) {
+                        let k = rng.gen_range(0..t.num_rows() as u32);
+                        if dead.insert(k) {
+                            set.stage_delete(t.column(0).get(k), k);
+                        }
+                    }
+                    let p = pred(rng.gen_range(0i64..50), rng.gen_range(0i64..25));
+                    let first = rng.gen_range(0usize..3);
+                    let projs = if rng.gen_bool(0.5) {
+                        vec![TAILS[first]]
+                    } else {
+                        vec![TAILS[first], TAILS[(first + 1) % 3]]
+                    };
+                    let mut got: Vec<(usize, Val)> = Vec::new();
+                    set.select_project_with(&t, &p, &projs, |attr, v| got.push((attr, v)));
+                    got.sort_unstable();
+                    let mut expected: Vec<(usize, Val)> = (0..t.num_rows() as u32)
+                        .filter(|k| !dead.contains(k) && p.matches(t.column(0).get(*k)))
+                        .flat_map(|k| projs.iter().map(move |&attr| (attr, k)))
+                        .map(|(attr, k)| (attr, t.column(attr).get(k)))
+                        .collect();
+                    expected.sort_unstable();
+                    assert_eq!(got, expected, "{policy:?} head_drop {head_drop:?}");
+
+                    let (resident, tuples) = resident_from_maps(&set, &TAILS);
+                    assert_eq!(set.usage(), tuples, "usage() is the resident tuple sum");
+                    assert!(set.usage() <= budget);
+                    assert_eq!(set.chunk_count(), resident.len());
+                    let index: Vec<(u64, usize, AreaId)> = set.eviction_order().copied().collect();
+                    assert_eq!(index, resident, "eviction index drifts from the maps");
+                    assert_eq!(
+                        set.next_victim(None, &[]),
+                        linear_victim(&resident, None, &[])
+                    );
+                    // Pin the coldest areas with every attribute subset a
+                    // query can pin.
+                    for &(_, _, area) in resident.iter().take(4) {
+                        for pinned in [&TAILS[..1], &TAILS[1..], &TAILS[..]] {
+                            assert_eq!(
+                                set.next_victim(area, pinned),
+                                linear_victim(&resident, area, pinned),
+                                "victim with {pinned:?} pinned in {area:?}"
+                            );
+                        }
+                    }
+                }
+                dropped += set.stats.chunks_dropped;
+                heads_dropped += set.stats.heads_dropped;
+            }
+        }
+    });
+    assert!(
+        dropped > 0 && heads_dropped > 0,
+        "the budget must evict and heads must drop"
+    );
 }
 
 /// The §3.3 histogram estimate always brackets the true result size

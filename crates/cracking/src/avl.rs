@@ -352,10 +352,15 @@ impl<K: Ord + Copy> AvlTree<K> {
         self.walk_live(node.right, f);
     }
 
+    /// Visit live `(key, pos)` pairs in key order without allocating.
+    pub fn for_each_live<F: FnMut(K, usize)>(&self, mut f: F) {
+        self.walk_live(self.root, &mut f);
+    }
+
     /// In-order traversal of live `(key, pos)` pairs.
     pub fn iter_live(&self) -> Vec<(K, usize)> {
         let mut out = Vec::with_capacity(self.live);
-        self.walk_live(self.root, &mut |k, p| out.push((k, p)));
+        self.for_each_live(|k, p| out.push((k, p)));
         out
     }
 

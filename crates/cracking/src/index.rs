@@ -155,6 +155,16 @@ impl CrackerIndex {
         (start, end.max(start))
     }
 
+    /// Greatest live boundary strictly below `key`, with its position.
+    pub fn floor_strict(&self, key: BoundaryKey) -> Option<(BoundaryKey, usize)> {
+        self.tree.floor_strict(&key)
+    }
+
+    /// Smallest live boundary strictly above `key`, with its position.
+    pub fn ceil_strict(&self, key: BoundaryKey) -> Option<(BoundaryKey, usize)> {
+        self.tree.ceil_strict(&key)
+    }
+
     /// Mark one boundary lazily deleted.
     pub fn mark_deleted(&mut self, key: BoundaryKey) -> bool {
         self.tree.mark_deleted(&key)
@@ -174,6 +184,12 @@ impl CrackerIndex {
     /// guaranteed ascending.
     pub fn boundaries(&self) -> Vec<(BoundaryKey, usize)> {
         self.tree.iter_live()
+    }
+
+    /// Visit the live boundaries in key order (the allocation-free form
+    /// of [`Self::boundaries`]).
+    pub fn for_each_boundary(&self, f: impl FnMut(BoundaryKey, usize)) {
+        self.tree.for_each_live(f)
     }
 
     /// Drop all knowledge.
